@@ -1,18 +1,37 @@
 // Boundary between a protocol state machine (Marlin / HotStuff) and the
 // world it runs in. The protocol is a pure, deterministic event handler:
 // messages and timeouts come in through method calls, and every externally
-// visible effect goes out through this interface. The simulation runtime
-// implements it over simnet (charging virtual CPU for the crypto the
-// protocol reports); unit tests implement it with plain vectors.
+// visible effect goes out through this interface. runtime::ReplicaHost
+// implements it once for both backends (the simulator charges virtual CPU
+// for the costs the protocol reports; metal only counts them); unit tests
+// implement it with plain vectors.
 #pragma once
 
 #include "common/ids.h"
-#include "common/scheduler.h"
+#include "common/sim_time.h"
 #include "consensus/persistent_state.h"
 #include "obs/trace.h"
 #include "types/messages.h"
 
 namespace marlin::consensus {
+
+/// A unit of work a host prices, reported with a count. The protocol
+/// reports the first group; runtime::ReplicaHost adds the second for its
+/// own work. On the simulator each maps to the crypto / storage cost models.
+enum class Cost : std::uint8_t {
+  kSign,           // conventional signatures
+  kVerify,         // conventional signature checks
+  kHashBytes,      // bytes hashed (count = bytes)
+  kPairing,        // pairing-based threshold instantiation
+  kThresholdSign,  // threshold signature shares
+  kCombineShare,   // shares combined into a threshold signature
+  // Host work.
+  kSerializeBytes,  // wire bytes encoded or decoded
+  kExecuteOps,      // committed requests executed
+  kStorageWrite,    // one KV record written (count = its bytes)
+  kStorageReads,    // KV records read back (recovery replay)
+  kCheckpoint,      // one checkpoint (count = blocks since the last)
+};
 
 class ProtocolEnv {
  public:
@@ -22,16 +41,10 @@ class ProtocolEnv {
   /// host is not tracing (unit-test envs). Protocols must tolerate null.
   virtual obs::TraceSink* trace_sink() { return nullptr; }
 
-  /// The host's scheduler (backend-neutral: global sim clock, shard-local
-  /// clock, or the realnet timer wheel), or nullptr in untimed hosts
-  /// (unit-test envs). Protocol state machines stay event-driven and never
-  /// schedule directly; this exists for host-side plumbing that receives
-  /// only a ProtocolEnv&.
-  virtual marlin::Scheduler* scheduler() { return nullptr; }
-
-  /// Simulation time of the event being handled; origin outside a timed
-  /// host (unit-test envs). Used only for observability (txpool wait
-  /// attribution), never for protocol decisions.
+  /// Time of the event being handled on the host's clock (simulated or
+  /// monotonic); origin outside a timed host (unit-test envs). Used only
+  /// for observability (txpool wait attribution), never for protocol
+  /// decisions.
   virtual TimePoint now() const { return TimePoint::origin(); }
 
   /// Point-to-point send to another replica (authenticated channel).
@@ -63,14 +76,11 @@ class ProtocolEnv {
   /// test envs may record or ignore it.
   virtual void persist_state(const PersistentState& state) { (void)state; }
 
-  // -- cost accounting hooks (no-ops outside the simulation) --------------
-  virtual void charge_signs(std::uint32_t count) { (void)count; }
-  virtual void charge_verifies(std::uint32_t count) { (void)count; }
-  virtual void charge_hash_bytes(std::size_t bytes) { (void)bytes; }
-  // Threshold-signature instantiation costs (pairing-based schemes).
-  virtual void charge_pairings(std::uint32_t count) { (void)count; }
-  virtual void charge_threshold_signs(std::uint32_t count) { (void)count; }
-  virtual void charge_combine_shares(std::uint32_t count) { (void)count; }
+  /// Cost accounting: `count` units of `cost` were just performed.
+  virtual void charge(Cost cost, std::uint64_t count) {
+    (void)cost;
+    (void)count;
+  }
 };
 
 }  // namespace marlin::consensus

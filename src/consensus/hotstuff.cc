@@ -108,7 +108,7 @@ void HotStuffReplica::propose(bool force) {
   b.ops = std::move(batch);
   b.justify = Justify{qc, {}};
 
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+  env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   store_.insert(b);
 
   const Height proposed_height = b.height;
@@ -178,7 +178,7 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
     return;
   }
 
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+  env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   const Hash256 h = b.hash();
   store_.insert(b);
   trace({.type = obs::EventType::kProposalReceived,

@@ -160,7 +160,7 @@ void MarlinReplica::propose_normal(bool force) {
   b.ops = std::move(batch);
   b.justify = Justify{qc, std::nullopt};
 
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+  env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   store_.insert(b);
 
   const Height proposed_height = b.height;
@@ -232,7 +232,7 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   if (!verify_qc(qc)) return;
   if (!types::rank_geq(qc, locked_qc_)) return;
 
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+  env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   const Hash256 h = b.hash();
   if (!block_ref_rank_greater(b.view, b.height, b.justify)) return;
 
@@ -679,7 +679,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
     b.virtual_block = false;
     b.ops = batch;
     b.justify = j;
-    env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+    env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
     const Hash256 h = b.hash();
     store_.insert(b);
     st.proposed.emplace_back(h, false);
@@ -702,7 +702,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
       b2.virtual_block = true;
       b2.ops = batch;
       b2.justify = *candidates[0];
-      env_.charge_hash_bytes(128);  // ops already hashed for b1
+      env_.charge(Cost::kHashBytes, 128);  // ops already hashed for b1
       const Hash256 h2 = b2.hash();
       store_.insert(b2);
       st.proposed.emplace_back(h2, true);
@@ -770,7 +770,7 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
     }
     if (!vote) continue;
 
-    env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+    env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
     const Hash256 h = b.hash();
     store_.insert(b);
     trace({.type = obs::EventType::kProposalReceived,

@@ -294,10 +294,10 @@ bool ReplicaBase::verify_qc(const QuorumCert& qc) {
   bool ok;
   if (qc.is_threshold_form()) {
     // BLS-class verification: two pairings, size-independent.
-    env_.charge_pairings(2);
+    env_.charge(Cost::kPairing, 2);
     ok = suite_.threshold_verify(digest.view(), qc.threshold_sig);
   } else {
-    env_.charge_verifies(static_cast<std::uint32_t>(qc.sigs.parts.size()));
+    env_.charge(Cost::kVerify, qc.sigs.parts.size());
     ok = qc.sigs.verify(verifier_, digest.view(), quorum());
   }
   if (!ok) {
@@ -314,7 +314,7 @@ void ReplicaBase::finalize_qc(QuorumCert& qc) {
     std::vector<std::pair<ReplicaId, Bytes>> parts;
     parts.reserve(qc.sigs.parts.size());
     for (const auto& p : qc.sigs.parts) parts.emplace_back(p.signer, p.sig);
-    env_.charge_combine_shares(static_cast<std::uint32_t>(parts.size()));
+    env_.charge(Cost::kCombineShare, parts.size());
     auto combined = suite_.threshold_combine(digest.view(), parts, quorum());
     if (combined) {
       qc.threshold_sig = std::move(*combined);
@@ -327,9 +327,9 @@ void ReplicaBase::finalize_qc(QuorumCert& qc) {
 
 crypto::PartialSig ReplicaBase::sign_digest(const Hash256& digest) {
   if (config_.use_threshold_sigs) {
-    env_.charge_threshold_signs(1);
+    env_.charge(Cost::kThresholdSign, 1);
   } else {
-    env_.charge_signs(1);
+    env_.charge(Cost::kSign, 1);
   }
   return crypto::PartialSig{config_.id, signer_->sign(digest.view())};
 }
@@ -337,9 +337,9 @@ crypto::PartialSig ReplicaBase::sign_digest(const Hash256& digest) {
 bool ReplicaBase::verify_partial(const crypto::PartialSig& sig,
                                  const Hash256& digest) {
   if (config_.use_threshold_sigs) {
-    env_.charge_pairings(2);  // BLS-class share verification
+    env_.charge(Cost::kPairing, 2);  // BLS-class share verification
   } else {
-    env_.charge_verifies(1);
+    env_.charge(Cost::kVerify, 1);
   }
   return verifier_.verify(sig.signer, digest.view(), sig.sig);
 }
@@ -535,7 +535,7 @@ void ReplicaBase::on_fetch_request(ReplicaId from,
 void ReplicaBase::on_fetch_response(ReplicaId from,
                                     types::FetchResponseMsg msg) {
   (void)from;
-  env_.charge_hash_bytes(types::ops_wire_size(msg.block.ops) + 128);
+  env_.charge(Cost::kHashBytes, types::ops_wire_size(msg.block.ops) + 128);
   const Hash256 fetched = msg.block.hash();
   // Batches stream the chain newest first, so the previously delivered
   // body is this block's child. A virtual child's parent link lives outside
@@ -616,7 +616,7 @@ void ReplicaBase::on_snapshot_response(ReplicaId from,
   for (const Block& b : msg.suffix) {
     body_bytes += types::ops_wire_size(b.ops) + 128;
   }
-  env_.charge_hash_bytes(body_bytes);
+  env_.charge(Cost::kHashBytes, body_bytes);
   // Suffix streams newest first; insert oldest first so parent links
   // resolve as we go. A virtual block's parent link lives outside its body
   // (the message-borne vc QC; see BlockStore::set_virtual_parent) and does

@@ -7,9 +7,10 @@
 // authenticators — exactly the adversary the paper's two-phase safety
 // argument must survive.
 //
-// The box is shared by the simulation runtime (ReplicaProcess pipes its
-// sends through it) and the unit-test harness (ProtocolHarness's bus),
-// replacing the ad-hoc per-test fault hacks.
+// The box is shared by the replica host of both backends
+// (runtime::ReplicaHost pipes its sends through it) and the unit-test
+// harness (ProtocolHarness's bus), replacing the ad-hoc per-test fault
+// hacks.
 #pragma once
 
 #include <optional>

@@ -17,12 +17,29 @@
 namespace marlin::realnet {
 
 namespace {
-/// Client start stagger (see runtime::Cluster::start): synchronized
-/// closed-loop clients refill in lockstep generations otherwise.
-Duration client_stagger(std::size_t c) {
-  return Duration::millis(5) +
-         Duration::millis(41) * static_cast<std::int64_t>(c);
-}
+
+/// The metal backend of the shared closed-loop client: the node's
+/// TcpTransport, its timer wheel and the monotonic clock.
+class RealClient final : public runtime::ClientProcess {
+ public:
+  RealClient(EventLoop& loop, TcpTransport& transport,
+             runtime::ClientProcessConfig config, Rng rng)
+      : ClientProcess(config, std::move(rng)),
+        loop_(loop),
+        transport_(transport) {}
+
+ protected:
+  TimePoint now() const override { return mono_now(); }
+  marlin::Scheduler& timers() override { return loop_.scheduler(); }
+  void transmit(std::uint32_t to, Payload wire) override {
+    transport_.send(to, std::move(wire));
+  }
+
+ private:
+  EventLoop& loop_;
+  TcpTransport& transport_;
+};
+
 }  // namespace
 
 RealCluster::RealCluster(runtime::ClusterConfig config,
@@ -101,44 +118,31 @@ Status RealCluster::build_node(std::uint32_t id) {
   }
 
   if (id < n()) {
-    // Suites built from the same seed are identical; a private instance per
-    // replica keeps the (non-thread-safe) verification caches unshared.
-    Bytes seed_bytes(8);
-    for (int i = 0; i < 8; ++i) {
-      seed_bytes[i] = static_cast<std::uint8_t>(config_.seed >> (8 * i));
-    }
-    node.suite = crypto::make_fast_suite(n(), seed_bytes);
+    // A private suite per replica keeps the (non-thread-safe) verification
+    // caches unshared.
+    node.suite = runtime::make_suite(config_);
 
-    const runtime::ConsensusConfig& cons = config_.consensus;
-    RealReplicaConfig rc;
-    rc.replica.id = id;
-    rc.replica.quorum = QuorumParams::for_f(config_.f);
-    rc.replica.max_batch_ops = cons.max_batch_ops;
-    rc.replica.pipelined = cons.pipelined;
-    rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
-    rc.replica.disable_happy_path = cons.disable_happy_path;
-    rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
-    rc.protocol = cons.protocol;
-    rc.pacemaker = cons.pacemaker;
-    rc.checkpoint_interval = cons.checkpoint_interval;
-    rc.reply_size = cons.reply_size;
-    rc.client_base = n();
+    runtime::ReplicaHostConfig rc = runtime::replica_host_config(config_, id);
     rc.sync_writes = options_.sync_writes;
     rc.trace = node.trace.get();
+    std::unique_ptr<storage::Env> env = storage::make_mem_env();
     if (!options_.data_dir.empty()) {
-      rc.data_dir = options_.data_dir + "/r" + std::to_string(id);
+      auto posix = storage::make_posix_env(options_.data_dir + "/r" +
+                                           std::to_string(id));
+      if (!posix.is_ok()) return posix.status();
+      env = std::move(posix).take();
     }
     if (options_.verify_workers > 0) {
       node.verify =
           std::make_unique<VerifyPool>(*node.loop, options_.verify_workers);
-      rc.verify_pool = node.verify.get();
     }
-    node.replica = std::make_unique<RealReplica>(*node.loop, *node.transport,
-                                                 *node.suite, rc);
+    node.replica = std::make_unique<RealReplica>(
+        *node.loop, *node.transport, *node.suite, rc, std::move(env),
+        node.verify.get());
     if (!node.replica->ok().is_ok()) return node.replica->ok();
     RealReplica* host = node.replica.get();
     node.transport->set_handler([host](std::uint32_t from, Payload p) {
-      host->on_message(from, std::move(p));
+      host->handle_message(from, std::move(p));
     });
     if (options_.telemetry) {
       obs::TelemetryHandlers th;
@@ -163,20 +167,16 @@ Status RealCluster::build_node(std::uint32_t id) {
       node.telemetry_port = port.value();
     }
   } else {
-    RealClientConfig cc;
-    cc.id = id - n();
-    cc.quorum = QuorumParams::for_f(config_.f);
-    cc.window = config_.clients.window;
-    cc.payload_size = config_.clients.payload_size;
-    cc.retransmit_timeout = config_.clients.retransmit_timeout;
-    cc.max_requests = config_.clients.max_requests;
-    cc.rng_seed = config_.seed * 0x9e3779b97f4a7c15ull + id;
+    runtime::ClientProcessConfig cc =
+        runtime::client_process_config(config_, id - n());
     cc.trace = node.trace.get();
-    node.client =
-        std::make_unique<RealClient>(*node.loop, *node.transport, cc);
-    RealClient* host = node.client.get();
+    // Payload entropy: cluster seed + node id keeps runs repeatable.
+    Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + id);
+    node.client = std::make_unique<RealClient>(*node.loop, *node.transport,
+                                               cc, std::move(rng));
+    runtime::ClientProcess* host = node.client.get();
     node.transport->set_handler([host](std::uint32_t from, Payload p) {
-      host->on_message(from, std::move(p));
+      host->handle_message(from, std::move(p));
     });
   }
   return Status::ok();
@@ -191,8 +191,8 @@ void RealCluster::start_node(std::uint32_t id) {
     RealReplica* host = node.replica.get();
     loop->post([host] { host->start(); });
   } else {
-    RealClient* host = node.client.get();
-    loop->post([loop, host, delay = client_stagger(id - n())] {
+    runtime::ClientProcess* host = node.client.get();
+    loop->post([loop, host, delay = runtime::client_start_delay(id - n())] {
       loop->post_after(delay, [host] { host->start(); });
     });
   }
@@ -249,7 +249,7 @@ void RealCluster::stop() {
   //    replica drains still land somewhere.
   for (std::uint32_t id = n(); id < nodes_.size(); ++id) {
     if (!nodes_[id].alive) continue;
-    RealClient* host = nodes_[id].client.get();
+    runtime::ClientProcess* host = nodes_[id].client.get();
     nodes_[id].loop->post([host] { host->quiesce(); });
   }
   // 2. Drain and stop every replica concurrently (while all are live their
@@ -350,21 +350,11 @@ bool RealCluster::any_safety_violation() const {
 bool RealCluster::committed_heights_consistent() const {
   // A stopped (or killed-and-joined) replica's final state is still
   // readable through its host object; no liveness filter here.
+  std::vector<const consensus::ReplicaBase*> replicas;
   for (std::uint32_t i = 0; i < n(); ++i) {
-    if (!nodes_[i].replica) continue;
-    for (std::uint32_t j = i + 1; j < n(); ++j) {
-      if (!nodes_[j].replica) continue;
-      const auto& a = nodes_[i].replica->protocol();
-      const auto& b = nodes_[j].replica->protocol();
-      const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
-      const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
-      if (lo.committed_height() == 0) continue;
-      if (!hi.store().extends(hi.committed_hash(), lo.committed_hash())) {
-        return false;
-      }
-    }
+    if (nodes_[i].replica) replicas.push_back(&nodes_[i].replica->protocol());
   }
-  return true;
+  return runtime::prefixes_consistent(replicas);
 }
 
 Height RealCluster::min_committed_height() const {
@@ -421,7 +411,7 @@ obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
       ++shared->outstanding;
     }
     RealReplica* replica = node.replica.get();
-    RealClient* client = node.client.get();
+    runtime::ClientProcess* client = node.client.get();
     node.loop->post([shared, id, is_replica, replica, client] {
       Sample s{id, {}, {}, is_replica};
       if (is_replica) {
@@ -448,16 +438,9 @@ obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
             [](const Sample& a, const Sample& b) { return a.id < b.id; });
 
   obs::MetricsRegistry out;
-  char label[32];
   for (const Sample& s : samples) {
     if (s.is_replica) {
-      out.merge_from(s.registry);
-      // Gauges are meaningless summed across replicas; keep the distinct
-      // values under per-replica labels (same shape as the sim cluster).
-      std::snprintf(label, sizeof label, "replica=%u", s.id);
-      for (const auto& [key, value] : s.registry.gauges()) {
-        out.gauge(key.name, label) = value;
-      }
+      runtime::merge_replica_metrics(out, s.registry, s.id);
     } else {
       out.latency("client.latency").merge_from(s.client_latency);
     }

@@ -20,8 +20,8 @@
 
 #include "crypto/signer.h"
 #include "obs/telemetry_server.h"
-#include "realnet/real_client.h"
 #include "realnet/real_replica.h"
+#include "runtime/client_process.h"
 #include "runtime/cluster.h"
 
 namespace marlin::realnet {
@@ -85,7 +85,9 @@ class RealCluster {
 
   // -- metrology (stopped cluster only, unless noted) ------------------------
   RealReplica& replica(ReplicaId i) { return *nodes_[i].replica; }
-  RealClient& client(ClientId i) { return *nodes_[n() + i].client; }
+  runtime::ClientProcess& client(ClientId i) {
+    return *nodes_[n() + i].client;
+  }
   /// Wire stats for node id (replicas then clients) — safe after stop().
   const net::NodeNetStats& node_stats(std::uint32_t id) const;
   /// Node id's transport (drain/shutdown assertions) — safe after stop().
@@ -143,7 +145,7 @@ class RealCluster {
     // the loop (declared first) is still alive for completion posts.
     std::unique_ptr<VerifyPool> verify;    // replicas only, opt-in
     std::unique_ptr<RealReplica> replica;  // replicas only
-    std::unique_ptr<RealClient> client;             // clients only
+    std::unique_ptr<runtime::ClientProcess> client;  // clients only
     // Declared after the hosts it reads from: destroyed first, while the
     // loop (declared first) is still alive for del_fd calls.
     std::unique_ptr<obs::TelemetryServer> telemetry;  // replicas only

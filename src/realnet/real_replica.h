@@ -1,20 +1,16 @@
-// Hosts one untouched consensus protocol instance (Marlin or HotStuff) on
-// the real runtime: TCP transport for the wire, the node's EventLoop timer
-// wheel for the pacemaker, a real KVStore (mem or posix) for write-ahead
-// voting and block records. The consensus core sees the exact same
-// ProtocolEnv it sees in simulation — this class and runtime::ReplicaProcess
-// are the only two implementations, and the protocol cannot tell them
-// apart. Differences from the simulated host, by design:
+// The metal backend of runtime::ReplicaHost: binds the shared host to one
+// node's EventLoop (timer wheel, monotonic clock) and TcpTransport, and
+// serves the node's live telemetry. Everything else — protocol
+// construction, restore-from-disk on relaunch, block records, checkpoints,
+// replies, write-ahead voting, the view timer — is the shared host.
 //
-//  * no CPU cost model: wall time is real, so charge_* hooks only feed
-//    metrics counters;
-//  * no outbox staged on virtual task completion: persist_state() completes
-//    synchronously (the KVStore write returns before the protocol resumes),
-//    so every vote is durable before its frame reaches the transport —
-//    write-ahead voting holds without the simulator's flush barrier;
-//  * restart-from-disk happens in the constructor: if the store already
-//    holds a persisted consensus state (a relaunch over the same data dir),
-//    the protocol is restored from it before start().
+// What metal supplies differently from the simulator:
+//  * no CPU cost model: wall time is real, so the cost sink charges nothing
+//    (the host's counters still count);
+//  * no step staging: a step runs inline and each send goes straight to
+//    the transport. persist_state() completes synchronously (the store
+//    write returns before the protocol resumes), so every vote is durable
+//    before its frame reaches the transport.
 //
 // Threading: everything runs on the owning EventLoop's thread. The replica
 // holds its own SignatureSuite instance (crypto caches are not thread-safe
@@ -22,89 +18,38 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
-#include "common/histogram.h"
-#include "consensus/hotstuff.h"
-#include "consensus/marlin.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "realnet/clock.h"
 #include "realnet/tcp_transport.h"
 #include "realnet/verify_pool.h"
-#include "runtime/pacemaker.h"
-#include "runtime/replica_process.h"  // runtime::ProtocolKind
-#include "storage/kvstore.h"
+#include "runtime/replica_host.h"
 
 namespace marlin::realnet {
 
-struct RealReplicaConfig {
-  consensus::ReplicaConfig replica;
-  runtime::ProtocolKind protocol = runtime::ProtocolKind::kMarlin;
-  runtime::PacemakerConfig pacemaker;
-  std::uint64_t checkpoint_interval = 5000;
-  std::size_t reply_size = 150;
-  /// Node id of client #0; client c lives at node client_base + c.
-  std::uint32_t client_base = 0;
-  /// Durable data directory; empty = in-memory store (no relaunch).
-  std::string data_dir;
-  /// fsync the WAL on every write (crash-consistent at real-crash cost).
-  bool sync_writes = false;
-  /// Per-node event trace (clock should be mono_now). Optional.
-  obs::TraceSink* trace = nullptr;
-  /// Off-loop crypto pre-verification pool. Null (the default) verifies
-  /// inline on the loop thread via InlineVerifyExecutor — byte-identical
-  /// behavior to the pre-pool runtime.
-  VerifyPool* verify_pool = nullptr;
-};
-
-class RealReplica final : public consensus::ProtocolEnv {
+class RealReplica final : public runtime::ReplicaHost {
  public:
-  /// Opens (or reopens) the store; when a persisted consensus state exists
-  /// the protocol is restored from it (relaunch path). Check ok() before
-  /// start(). `suite` must outlive the replica and must not be shared with
-  /// another thread.
+  /// Opens (or reopens) the store in `env`; when it holds a persisted
+  /// consensus state the protocol is restored from it (relaunch path).
+  /// Check ok() before start(). `suite` must outlive the replica and must
+  /// not be shared with another thread. `verify_pool` (optional) checks
+  /// incoming signatures off the loop thread.
   RealReplica(EventLoop& loop, TcpTransport& transport,
-              const crypto::SignatureSuite& suite, RealReplicaConfig config);
+              const crypto::SignatureSuite& suite,
+              runtime::ReplicaHostConfig config,
+              std::unique_ptr<storage::Env> env,
+              VerifyPool* verify_pool = nullptr);
 
   Status ok() const { return init_status_; }
-  /// True when the constructor restored state persisted by a previous
-  /// incarnation (the kill+relaunch path).
-  bool recovered() const { return recovered_; }
 
-  /// Enters the protocol (arming the pacemaker). Loop thread only.
-  void start();
-
-  /// Transport ingress (wired by the cluster). Loop thread only.
-  void on_message(std::uint32_t from, Payload payload);
-
-  // -- ProtocolEnv -----------------------------------------------------------
-  void send(ReplicaId to, const types::Envelope& env) override;
-  void broadcast(const types::Envelope& env) override;
-  void deliver(const types::Block& block,
-               const std::vector<types::Operation>& executable) override;
-  void entered_view(ViewNumber v) override;
-  void progressed() override;
-  void persist_state(const consensus::PersistentState& state) override;
-  obs::TraceSink* trace_sink() override { return config_.trace; }
   TimePoint now() const override { return mono_now(); }
-  void charge_signs(std::uint32_t count) override;
-  void charge_verifies(std::uint32_t count) override;
-  void charge_hash_bytes(std::size_t bytes) override;
-  void charge_pairings(std::uint32_t count) override;
-  void charge_threshold_signs(std::uint32_t count) override;
-  void charge_combine_shares(std::uint32_t count) override;
-
-  // -- accessors -------------------------------------------------------------
-  consensus::ReplicaBase& protocol() { return *protocol_; }
-  const consensus::ReplicaBase& protocol() const { return *protocol_; }
-  WindowedCounter& committed_ops() { return committed_ops_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  ViewNumber current_view() const { return protocol_->current_view(); }
 
   // -- telemetry (loop thread only) ------------------------------------------
   /// Liveness: true while the host shows recent activity (view timer
-  /// firing, commits, view entries). The window adapts to the pacemaker's
-  /// current backoff so a cluster grinding through view changes is not
-  /// misreported as stalled. Backs GET /healthz.
+  /// firing, commits, view entries) and has not fail-stopped. The window
+  /// adapts to the pacemaker's current backoff so a cluster grinding
+  /// through view changes is not misreported as stalled. Backs GET
+  /// /healthz.
   bool healthy() const;
 
   /// JSON body for GET /status: node id, protocol, view, committed height,
@@ -117,37 +62,21 @@ class RealReplica final : public consensus::ProtocolEnv {
   /// loop counters.
   obs::MetricsRegistry snapshot_metrics() const;
 
- private:
-  void make_protocol();
-  void arm_view_timer();
-  void send_wire(ReplicaId to, const types::Envelope& env,
-                 const Payload* pre = nullptr);
-  void trace(obs::TraceEvent e) {
-    if (config_.trace) {
-      e.node = config_.replica.id;
-      config_.trace->record(e);
-    }
+ protected:
+  void transmit(std::uint32_t to, Payload wire) override {
+    transport_.send(to, std::move(wire));
   }
+  marlin::Scheduler& timers() override { return loop_.scheduler(); }
+  Duration spend(consensus::Cost, std::uint64_t) override {
+    return Duration::zero();
+  }
+  void run_step(std::function<void()> step) override { step(); }
 
+ private:
   EventLoop& loop_;
   TcpTransport& transport_;
-  const crypto::SignatureSuite& suite_;
-  RealReplicaConfig config_;
+  VerifyPool* verify_pool_;
   Status init_status_ = Status::ok();
-  bool recovered_ = false;
-
-  std::unique_ptr<consensus::ReplicaBase> protocol_;
-  std::unique_ptr<storage::Env> db_env_;
-  std::unique_ptr<storage::KVStore> db_;
-
-  runtime::Pacemaker pacemaker_;
-  TimerHandle view_timer_;
-
-  std::uint64_t blocks_since_checkpoint_ = 0;
-  WindowedCounter committed_ops_;
-  obs::MetricsRegistry metrics_;
-  bool commit_seen_in_view_ = false;
-  TimePoint last_activity_;  // freshness signal behind healthy()
 };
 
 }  // namespace marlin::realnet

@@ -1,7 +1,12 @@
-// Closed-loop BFT client: keeps `window` requests outstanding, broadcasts
-// each request to every replica, accepts a result once f+1 matching replies
-// arrive (paper §III), records end-to-end latency, and retransmits on
-// timeout (covers leader failure / dropped batches).
+// Closed-loop BFT client, shared by both backends: keeps `window` requests
+// outstanding, broadcasts each request to every replica, accepts a result
+// once f+1 distinct replicas reply with matching results (paper §III),
+// records end-to-end latency, and retransmits on timeout (covers leader
+// failure / dropped batches).
+//
+// A backend derives from it and supplies only the wire, the clock and the
+// timers (the protected seam): runtime::SimClient on the simulator, a
+// TcpTransport binding in realnet::RealCluster on metal.
 #pragma once
 
 #include <map>
@@ -9,8 +14,10 @@
 
 #include "common/histogram.h"
 #include "common/ids.h"
+#include "common/payload.h"
+#include "common/rng.h"
+#include "common/scheduler.h"
 #include "obs/trace.h"
-#include "simnet/network.h"
 #include "types/messages.h"
 
 namespace marlin::runtime {
@@ -31,18 +38,27 @@ struct ClientProcessConfig {
   obs::TraceSink* trace = nullptr;
 };
 
-class ClientProcess final : public sim::NetworkNode {
+class ClientProcess {
  public:
-  /// `sched` is the client's home scheduler; `rng` jitters the paced
-  /// request stream. The caller owns the rng fork order — Cluster forks
-  /// client streams in id order, which the golden traces pin.
-  ClientProcess(marlin::Scheduler& sched, sim::Network& net,
-                ClientProcessConfig config, Rng rng);
+  virtual ~ClientProcess() = default;
+  // Retransmit timers hold `this`.
+  ClientProcess(const ClientProcess&) = delete;
+  ClientProcess& operator=(const ClientProcess&) = delete;
 
-  sim::NodeId attach();
+  /// Issues the first window of requests.
   void start();
 
-  void on_message(sim::NodeId from, Payload payload) override;
+  /// One frame from node `from`. A reply counts only as the vote of the
+  /// replica that sent it: the transport's sender must be a replica and
+  /// must match the reply's own replica field.
+  void handle_message(std::uint32_t from, Payload payload);
+
+  /// Stops issuing and retransmitting (shutdown sequencing: a quiesced
+  /// client keeps accepting replies while replicas drain).
+  void quiesce();
+
+  /// Clients occupy node ids n.. in id order, after the replicas.
+  std::uint32_t node_id() const { return config_.quorum.n + config_.id; }
 
   WindowedCounter& completed() { return completed_; }
   LatencyHistogram& latency() { return latency_; }
@@ -50,22 +66,30 @@ class ClientProcess final : public sim::NetworkNode {
   std::uint64_t in_flight() const { return pending_.size(); }
   std::uint64_t retransmissions() const { return retransmissions_; }
 
+ protected:
+  /// `rng` feeds request payloads.
+  ClientProcess(ClientProcessConfig config, Rng rng)
+      : config_(config), rng_(std::move(rng)) {}
+
+  // -- the backend seam: clock, timers and wire ------------------------------
+  virtual TimePoint now() const = 0;
+  /// Timers, scheduled at now() + delay on the backend's clock.
+  virtual marlin::Scheduler& timers() = 0;
+  /// Puts one frame on the wire to node `to`.
+  virtual void transmit(std::uint32_t to, Payload wire) = 0;
+
  private:
   struct Pending {
     TimePoint first_sent;
     std::map<Bytes, std::set<ReplicaId>> acks_by_result;
-    sim::TimerHandle retransmit;
+    TimerHandle retransmit;
   };
 
   void issue_next();
   void arm_retransmit(RequestId id);
   void flush_burst();
-  Bytes payload_for(RequestId id);
 
-  marlin::Scheduler& sim_;
-  sim::Network& net_;
   ClientProcessConfig config_;
-  sim::NodeId node_id_ = 0;
   RequestId next_request_ = 1;
   std::map<RequestId, Pending> pending_;
   std::map<RequestId, Bytes> payloads_;  // for retransmission
@@ -73,6 +97,7 @@ class ClientProcess final : public sim::NetworkNode {
   WindowedCounter completed_;
   LatencyHistogram latency_;
   std::uint64_t retransmissions_ = 0;
+  bool quiesced_ = false;
   Rng rng_;
 };
 

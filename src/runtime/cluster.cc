@@ -1,9 +1,81 @@
 #include "runtime/cluster.h"
 
 #include <cassert>
-#include <cstdio>
+#include <string>
 
 namespace marlin::runtime {
+
+ReplicaHostConfig replica_host_config(const ClusterConfig& config,
+                                      ReplicaId id) {
+  const ConsensusConfig& cons = config.consensus;
+  ReplicaHostConfig rc;
+  rc.replica.id = id;
+  rc.replica.quorum = QuorumParams::for_f(config.f);
+  rc.replica.max_batch_ops = cons.max_batch_ops;
+  rc.replica.pipelined = cons.pipelined;
+  rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
+  rc.replica.disable_happy_path = cons.disable_happy_path;
+  rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
+  rc.protocol = cons.protocol;
+  rc.pacemaker = cons.pacemaker;
+  rc.checkpoint_interval = cons.checkpoint_interval;
+  rc.reply_size = cons.reply_size;
+  rc.client_base = rc.replica.quorum.n;
+  rc.disable_persistence = cons.disable_persistence;
+  return rc;
+}
+
+ClientProcessConfig client_process_config(const ClusterConfig& config,
+                                          ClientId id) {
+  ClientProcessConfig cc;
+  cc.id = id;
+  cc.quorum = QuorumParams::for_f(config.f);
+  cc.window = config.clients.window;
+  cc.payload_size = config.clients.payload_size;
+  cc.retransmit_timeout = config.clients.retransmit_timeout;
+  cc.max_requests = config.clients.max_requests;
+  return cc;
+}
+
+std::unique_ptr<crypto::SignatureSuite> make_suite(
+    const ClusterConfig& config) {
+  Bytes seed_bytes(8);
+  for (int i = 0; i < 8; ++i) {
+    seed_bytes[i] = static_cast<std::uint8_t>(config.seed >> (8 * i));
+  }
+  return crypto::make_fast_suite(3 * config.f + 1, seed_bytes);
+}
+
+Duration client_start_delay(ClientId c) {
+  return Duration::millis(5) +
+         Duration::millis(41) * static_cast<std::int64_t>(c);
+}
+
+bool prefixes_consistent(
+    const std::vector<const consensus::ReplicaBase*>& replicas) {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
+      const auto& a = *replicas[i];
+      const auto& b = *replicas[j];
+      const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
+      const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
+      if (lo.committed_height() == 0) continue;
+      if (!hi.store().extends(hi.committed_hash(), lo.committed_hash())) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void merge_replica_metrics(obs::MetricsRegistry& out,
+                           const obs::MetricsRegistry& replica, ReplicaId id) {
+  out.merge_from(replica);
+  const std::string label = "replica=" + std::to_string(id);
+  for (const auto& [key, value] : replica.gauges()) {
+    out.gauge(key.name, label) = value;
+  }
+}
 
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
     : config_(std::move(config)) {
@@ -68,49 +140,23 @@ void Cluster::build(const EngineBinding& engine) {
     net_->set_trace(config_.trace);
   }
 
-  Bytes seed_bytes(8);
-  for (int i = 0; i < 8; ++i) {
-    seed_bytes[i] = static_cast<std::uint8_t>(config_.seed >> (8 * i));
-  }
-  suite_ = crypto::make_fast_suite(n, seed_bytes);
-
-  const ConsensusConfig& cons = config_.consensus;
+  suite_ = make_suite(config_);
   for (ReplicaId r = 0; r < n; ++r) {
-    ReplicaProcessConfig rc;
-    rc.replica.id = r;
-    rc.replica.quorum = QuorumParams::for_f(config_.f);
-    rc.replica.max_batch_ops = cons.max_batch_ops;
-    rc.replica.pipelined = cons.pipelined;
-    rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
-    rc.replica.disable_happy_path = cons.disable_happy_path;
-    rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
-    rc.protocol = cons.protocol;
-    rc.crypto_costs = config_.crypto_costs;
-    rc.storage_costs = config_.storage_costs;
-    rc.pacemaker = cons.pacemaker;
-    rc.checkpoint_interval = cons.checkpoint_interval;
-    rc.reply_size = cons.reply_size;
-    rc.client_base = n;
+    ReplicaHostConfig rc = replica_host_config(config_, r);
     rc.trace = engine.node_trace ? engine.node_trace(r) : config_.trace;
-    rc.disable_persistence = cons.disable_persistence;
-    replicas_.push_back(
-        std::make_unique<ReplicaProcess>(*sched_of_(r), *net_, *suite_, rc));
+    replicas_.push_back(std::make_unique<SimReplica>(
+        *sched_of_(r), *net_, *suite_, rc, config_.crypto_costs,
+        config_.storage_costs));
     replicas_.back()->set_count_authenticators(config_.count_authenticators);
     replicas_.back()->attach();
     if (engine.node_trace) net_->set_node_trace(r, engine.node_trace(r));
   }
 
   for (ClientId c = 0; c < config_.clients.count; ++c) {
-    ClientProcessConfig cc;
-    cc.id = c;
-    cc.quorum = QuorumParams::for_f(config_.f);
-    cc.window = config_.clients.window;
-    cc.payload_size = config_.clients.payload_size;
-    cc.retransmit_timeout = config_.clients.retransmit_timeout;
-    cc.max_requests = config_.clients.max_requests;
+    ClientProcessConfig cc = client_process_config(config_, c);
     const sim::NodeId node = n + c;
     cc.trace = engine.node_trace ? engine.node_trace(node) : config_.trace;
-    clients_.push_back(std::make_unique<ClientProcess>(
+    clients_.push_back(std::make_unique<SimClient>(
         *sched_of_(node), *net_, cc, engine.setup_rng->fork()));
     clients_.back()->attach();
     if (engine.node_trace) net_->set_node_trace(node, engine.node_trace(node));
@@ -134,17 +180,12 @@ void Cluster::build(const EngineBinding& engine) {
 void Cluster::start() {
   faults_->arm();
   for (auto& r : replicas_) r->start();
-  // Clients begin shortly after the replicas have entered view 1, with
-  // staggered starts: synchronized closed-loop clients otherwise refill in
-  // lockstep "generations" that quantize throughput measurements. Each
-  // start is posted on the client's home scheduler so it runs on the
-  // client's shard (the global queue, when there is only one).
-  for (std::size_t c = 0; c < clients_.size(); ++c) {
-    ClientProcess* client = clients_[c].get();
-    sched_of_(n() + static_cast<sim::NodeId>(c))
-        ->post(Duration::millis(5) +
-                   Duration::millis(41) * static_cast<std::int64_t>(c),
-               [client] { client->start(); });
+  // Each client start is posted on the client's home scheduler so it runs
+  // on the client's shard (the global queue, when there is only one).
+  for (ClientId c = 0; c < clients_.size(); ++c) {
+    SimClient* client = clients_[c].get();
+    sched_of_(n() + c)->post(client_start_delay(c),
+                             [client] { client->start(); });
   }
 }
 
@@ -199,18 +240,10 @@ std::uint64_t Cluster::total_completed() const {
 }
 
 void Cluster::export_metrics(obs::MetricsRegistry& out) const {
-  char label[32];
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    const obs::MetricsRegistry& m = replicas_[r]->metrics();
-    // Cluster totals (counters add, histograms pool, gauges keep the max).
-    out.merge_from(m);
-    // Gauges are meaningless summed across replicas; re-export them with a
-    // per-replica label so snapshots keep the distinct values.
-    std::snprintf(label, sizeof label, "replica=%zu", r);
-    for (const auto& [key, value] : m.gauges()) {
-      out.gauge(key.name, label) = value;
-    }
-    out.counter("replica.authenticators_sent", label) =
+  for (ReplicaId r = 0; r < replicas_.size(); ++r) {
+    merge_replica_metrics(out, replicas_[r]->metrics(), r);
+    out.counter("replica.authenticators_sent",
+                "replica=" + std::to_string(r)) =
         replicas_[r]->traffic().authenticators_sent;
   }
   for (const auto& c : clients_) {
@@ -227,23 +260,13 @@ bool Cluster::any_safety_violation() const {
 }
 
 bool Cluster::committed_heights_consistent() const {
-  // For every pair of live replicas, the one with the lower committed
-  // height must have its committed hash on the other's chain.
+  std::vector<const consensus::ReplicaBase*> live;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (net_->is_down(static_cast<sim::NodeId>(i))) continue;
-    for (std::size_t j = i + 1; j < replicas_.size(); ++j) {
-      if (net_->is_down(static_cast<sim::NodeId>(j))) continue;
-      const auto& a = replicas_[i]->protocol();
-      const auto& b = replicas_[j]->protocol();
-      const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
-      const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
-      if (lo.committed_height() == 0) continue;
-      if (!hi.store().extends(hi.committed_hash(), lo.committed_hash())) {
-        return false;
-      }
+    if (!net_->is_down(static_cast<sim::NodeId>(i))) {
+      live.push_back(&replicas_[i]->protocol());
     }
   }
-  return true;
+  return prefixes_consistent(live);
 }
 
 }  // namespace marlin::runtime

@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "faults/fault_controller.h"
-#include "runtime/client_process.h"
-#include "runtime/replica_process.h"
+#include "runtime/sim_host.h"
 #include "simnet/sharded.h"
 
 namespace marlin::runtime {
@@ -62,6 +61,32 @@ struct ClusterConfig {
   bool count_authenticators = false;
 };
 
+// -- host wiring shared by both backends' clusters ---------------------------
+
+/// Replica `id`'s host configuration: the consensus knobs, with clients at
+/// node ids n.. (trace and backend fields left to the caller).
+ReplicaHostConfig replica_host_config(const ClusterConfig& config,
+                                      ReplicaId id);
+ClientProcessConfig client_process_config(const ClusterConfig& config,
+                                          ClientId id);
+/// The cluster's signature suite. Suites built from one seed are identical,
+/// so a backend may hold one per replica.
+std::unique_ptr<crypto::SignatureSuite> make_suite(
+    const ClusterConfig& config);
+/// Client `c` starts this long after the replicas: staggered, because
+/// synchronized closed-loop clients otherwise refill in lockstep
+/// "generations" that quantize throughput measurements.
+Duration client_start_delay(ClientId c);
+/// Every pair of `replicas` agrees on committed prefixes: the lower
+/// committed hash lies on the higher replica's chain.
+bool prefixes_consistent(
+    const std::vector<const consensus::ReplicaBase*>& replicas);
+/// Adds one replica's registry to a cluster-wide one: counters add and
+/// histograms pool; gauges, meaningless summed, are also re-exported under
+/// "replica=<id>".
+void merge_replica_metrics(obs::MetricsRegistry& out,
+                           const obs::MetricsRegistry& replica, ReplicaId id);
+
 class Cluster {
  public:
   /// How a cluster binds to an event engine. The composition root (the
@@ -101,8 +126,8 @@ class Cluster {
   std::uint32_t f() const { return config_.f; }
   const ClusterConfig& config() const { return config_; }
 
-  ReplicaProcess& replica(ReplicaId i) { return *replicas_[i]; }
-  const ReplicaProcess& replica(ReplicaId i) const { return *replicas_[i]; }
+  SimReplica& replica(ReplicaId i) { return *replicas_[i]; }
+  const SimReplica& replica(ReplicaId i) const { return *replicas_[i]; }
   ClientProcess& client(ClientId i) { return *clients_[i]; }
   sim::Network& network() { return *net_; }
   std::size_t client_count() const { return clients_.size(); }
@@ -156,8 +181,8 @@ class Cluster {
   ClusterConfig config_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<crypto::SignatureSuite> suite_;
-  std::vector<std::unique_ptr<ReplicaProcess>> replicas_;
-  std::vector<std::unique_ptr<ClientProcess>> clients_;
+  std::vector<std::unique_ptr<SimReplica>> replicas_;
+  std::vector<std::unique_ptr<SimClient>> clients_;
   std::unique_ptr<faults::FaultController> faults_;
 };
 

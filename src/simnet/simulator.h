@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
-#include "simnet/event_fn.h"
 
 namespace marlin::sim {
 

@@ -19,9 +19,14 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct ShaVector {
+  const char* label;
   const char* message;
   const char* digest;
 };
+
+// Print the label so test names are stable; the default printer dumps the
+// struct's pointer bytes, which change from build to build.
+void PrintTo(const ShaVector& v, std::ostream* os) { *os << v.label; }
 
 class Sha256KnownAnswer : public ::testing::TestWithParam<ShaVector> {};
 
@@ -33,11 +38,11 @@ TEST_P(Sha256KnownAnswer, Matches) {
 INSTANTIATE_TEST_SUITE_P(
     Nist, Sha256KnownAnswer,
     ::testing::Values(
-        ShaVector{"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
-        ShaVector{"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
-        ShaVector{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        ShaVector{"empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        ShaVector{"abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+        ShaVector{"two_blocks", "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
                   "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
-        ShaVector{"The quick brown fox jumps over the lazy dog",
+        ShaVector{"quick_brown_fox", "The quick brown fox jumps over the lazy dog",
                   "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"}));
 
 TEST(Sha256, MillionAs) {

@@ -49,9 +49,11 @@ class BusEnv final : public ProtocolEnv {
   }
   void entered_view(ViewNumber v) override { views_entered.push_back(v); }
   void progressed() override { ++progress_events; }
-  void charge_signs(std::uint32_t c) override { signs += c; }
-  void charge_verifies(std::uint32_t c) override { verifies += c; }
-  void charge_hash_bytes(std::size_t b) override { hash_bytes += b; }
+  void charge(Cost cost, std::uint64_t count) override {
+    if (cost == Cost::kSign) signs += count;
+    if (cost == Cost::kVerify) verifies += count;
+    if (cost == Cost::kHashBytes) hash_bytes += count;
+  }
 
   std::vector<types::Block> delivered;
   std::vector<ViewNumber> views_entered;
@@ -108,7 +110,7 @@ class ProtocolHarness {
 
   /// Push a message onto the bus (tests can forge anything). A sender with
   /// an active ByzantineBox has its envelope transformed — possibly into
-  /// nothing — exactly as the runtime's ReplicaProcess::send would.
+  /// nothing — exactly as runtime::ReplicaHost::send would.
   void post(ReplicaId from, ReplicaId to, types::Envelope env) {
     if (from < byzantine_.size() && byzantine_[from].active()) {
       auto out = byzantine_[from].transform(env, from, to);

@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "runtime/experiment.h"
 #include "storage/env.h"
+#include "storage/kvstore.h"
 
 namespace marlin {
 namespace {
@@ -339,6 +340,42 @@ TEST(WalRecovery, MidFileCorruptionSurfacesKCorruptionAndStaysDown) {
   sim.run_for(Duration::seconds(3));
   EXPECT_GT(cluster.replica(0).protocol().committed_height(), before);
   EXPECT_TRUE(cluster.committed_heights_consistent());
+}
+
+TEST(PStateRecovery, UndecodableStateKeepsTheReplicaDownAndSilent) {
+  ClusterConfig cfg = base_config(ProtocolKind::kMarlin);
+  obs::TraceSink sink{1 << 18};
+  cfg.trace = &sink;
+  sim::Simulator sim(cfg.seed);
+  Cluster cluster(sim, cfg);
+  cluster.start();
+  sim.run_for(Duration::seconds(2));
+  cluster.crash_replica(2);
+
+  // The persisted consensus state is there but does not decode. Restarting
+  // from genesis state instead could double-vote.
+  {
+    auto db = storage::KVStore::open(cluster.replica(2).db_env());
+    ASSERT_TRUE(db.is_ok());
+    ASSERT_TRUE(db.value()->put("meta/pstate", to_bytes("garbage")).is_ok());
+  }
+  const TimePoint restart_at = sim.now();
+  const Status s = cluster.restart_replica(2, /*wipe=*/false);
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_EQ(s.code(), ErrorCode::kCorruption) << s.message();
+  EXPECT_TRUE(cluster.network().is_down(2));
+  EXPECT_EQ(cluster.replica(2).metrics().counter_value("recovery.failures"),
+            1u);
+
+  sim.run_for(Duration::seconds(3));
+  std::size_t sent = 0;
+  for (const obs::TraceEvent& e : sink.events()) {
+    sent += e.type == obs::EventType::kMsgSent && e.node == 2 &&
+            e.at >= restart_at;
+  }
+  EXPECT_EQ(sent, 0u);
+  EXPECT_TRUE(cluster.committed_heights_consistent());
+  EXPECT_FALSE(cluster.any_safety_violation());
 }
 
 // ---------------------------------------------------------------------------

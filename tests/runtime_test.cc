@@ -120,6 +120,50 @@ TEST(ClientRetransmit, NoRetransmissionsOnHealthyNetwork) {
   }
 }
 
+// A reply counts as the vote of the node that sent it: one Byzantine replica
+// claiming f+1 replica ids must not complete a request on its own.
+TEST(ClientQuorum, ForgedRepliesFromOneNodeLeaveTheRequestPending) {
+  ClusterConfig cfg;
+  cfg.f = 1;
+  cfg.clients.count = 1;
+  cfg.clients.window = 1;
+  sim::Simulator sim(cfg.seed);
+  Cluster cluster(sim, cfg);
+  // Replicas never see the request, so no honest replica replies.
+  const sim::NodeId client_node = cluster.n();
+  cluster.network().set_filter([client_node](sim::NodeId from, sim::NodeId) {
+    return from != client_node;
+  });
+  cluster.start();
+  sim.run_for(Duration::millis(100));
+  ClientProcess& client = cluster.client(0);
+  ASSERT_EQ(client.issued(), 1u);
+
+  auto reply = [](ReplicaId claimed) {
+    types::ClientReplyMsg m;
+    m.client = 0;
+    m.replica = claimed;
+    m.view = 1;
+    m.height = 1;
+    m.result = Bytes(8, 0xab);
+    m.requests = {1};
+    return Payload(
+        types::make_envelope(types::MsgKind::kClientReply, m).serialize());
+  };
+  // Replica 3 answers under every replica id.
+  for (ReplicaId claimed = 0; claimed < cluster.n(); ++claimed) {
+    cluster.network().send(3, client_node, reply(claimed));
+  }
+  sim.run_for(Duration::millis(100));
+  EXPECT_EQ(client.completed().total(), 0u);
+  EXPECT_EQ(client.in_flight(), 1u);
+
+  // One more matching reply from a second node makes f+1 distinct senders.
+  cluster.network().send(0, client_node, reply(0));
+  sim.run_for(Duration::millis(100));
+  EXPECT_EQ(client.completed().total(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Block fetch / catch-up
 // ---------------------------------------------------------------------------
