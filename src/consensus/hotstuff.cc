@@ -214,27 +214,6 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 // Leader: vote collection
 // ---------------------------------------------------------------------------
 
-std::optional<Hash256> HotStuffReplica::preverify_vote_digest(
-    const types::VoteMsg& msg) const {
-  // Mirrors on_vote's digest derivation (same early-outs: votes the
-  // handler discards unverified plan no work).
-  if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
-    return std::nullopt;
-  }
-  const Block* b = store_.get(msg.block_hash);
-  if (!b) return std::nullopt;
-  return digest_for(qc_type_of(msg.phase), msg.block_hash, b->view,
-                    b->height, b->parent_view);
-}
-
-std::optional<Hash256> HotStuffReplica::preverify_view_change_digest(
-    const types::ViewChangeMsg& msg) const {
-  if (msg.view < cview_) return std::nullopt;
-  const BlockRef& lb = msg.last_voted;
-  return types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
-                            lb.view, lb.height, lb.pview, false);
-}
-
 void HotStuffReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
   if (msg.view != cview_ || leader_of(msg.view) != config_.id) return;
   const Block* b = store_.get(msg.block_hash);

@@ -40,11 +40,6 @@ class HotStuffReplica : public ReplicaBase {
   void enter_view(ViewNumber v, bool send_new_view);
   void leader_check_new_view_quorum();
 
-  std::optional<Hash256> preverify_vote_digest(
-      const types::VoteMsg& msg) const override;
-  std::optional<Hash256> preverify_view_change_digest(
-      const types::ViewChangeMsg& msg) const override;
-
   Hash256 digest_for(QcType type, const Hash256& h, ViewNumber bview,
                      Height height, ViewNumber pview) const;
 

@@ -383,28 +383,6 @@ void MarlinReplica::handle_prepare_notice(ReplicaId from,
 // Votes — leader side
 // ---------------------------------------------------------------------------
 
-std::optional<Hash256> MarlinReplica::preverify_vote_digest(
-    const types::VoteMsg& msg) const {
-  // Mirrors on_vote's digest derivation (same early-outs: votes the
-  // handler discards unverified plan no work).
-  if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
-    return std::nullopt;
-  }
-  const Block* b = store_.get(msg.block_hash);
-  if (!b) return std::nullopt;
-  return types::vote_digest(kDomain, qc_type_of(msg.phase), cview_,
-                            msg.block_hash, b->view, b->height,
-                            b->parent_view, b->virtual_block);
-}
-
-std::optional<Hash256> MarlinReplica::preverify_view_change_digest(
-    const types::ViewChangeMsg& msg) const {
-  if (msg.view < cview_) return std::nullopt;
-  const BlockRef& lb = msg.last_voted;
-  return types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
-                            lb.view, lb.height, lb.pview, lb.virtual_block);
-}
-
 void MarlinReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
   if (msg.view != cview_ || leader_of(msg.view) != config_.id) return;
 

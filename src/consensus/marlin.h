@@ -92,11 +92,6 @@ class MarlinReplica : public ReplicaBase {
   bool block_ref_rank_greater(ViewNumber bview, Height bheight,
                               const Justify& bjustify) const;
 
-  std::optional<Hash256> preverify_vote_digest(
-      const types::VoteMsg& msg) const override;
-  std::optional<Hash256> preverify_view_change_digest(
-      const types::ViewChangeMsg& msg) const override;
-
   Hash256 prepare_digest_for_block(const Block& b, const Hash256& h) const;
   Hash256 digest_for_qc_fields(QcType type, ViewNumber view,
                                const QuorumCert& qc) const;

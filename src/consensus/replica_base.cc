@@ -137,113 +137,6 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
   }
 }
 
-namespace {
-/// Signature checks lifted off one envelope for off-thread pre-warming
-/// (see ReplicaBase::preverify_work).
-struct PreverifyBatch {
-  struct QcCheck {
-    QuorumCert qc;
-    Hash256 digest;
-  };
-  struct SigCheck {
-    crypto::PartialSig sig;
-    Hash256 digest;
-  };
-  std::vector<QcCheck> qcs;
-  std::vector<SigCheck> sigs;
-  bool empty() const { return qcs.empty() && sigs.empty(); }
-};
-}  // namespace
-
-void ReplicaBase::ingress(ReplicaId from, Envelope envelope,
-                          common::VerifyExecutor& exec) {
-  if (!exec.deferred()) {
-    // Inline executors add nothing: dispatch directly (no plan, no
-    // allocation) so simulated behavior is bit-identical.
-    handle_message(from, envelope);
-    return;
-  }
-  std::function<void()> work = preverify_work(envelope);
-  exec.submit(std::move(work),
-              [this, from, env = std::move(envelope)] {
-                handle_message(from, env);
-              });
-}
-
-std::function<void()> ReplicaBase::preverify_work(
-    const Envelope& envelope) const {
-  PreverifyBatch batch;
-  auto plan_qc = [this, &batch](const QuorumCert& qc) {
-    if (qc.is_genesis()) return;
-    Hash256 digest = qc.signed_digest(domain_);
-    if (verified_qc_digests_.count(digest) > 0) return;
-    batch.qcs.push_back(PreverifyBatch::QcCheck{qc, digest});
-  };
-  auto plan_justify = [&plan_qc](const types::Justify& j) {
-    if (j.qc) plan_qc(*j.qc);
-    if (j.vc) plan_qc(*j.vc);
-  };
-
-  switch (envelope.kind) {
-    case MsgKind::kProposal: {
-      auto msg = types::open_envelope<types::ProposalMsg>(envelope);
-      if (!msg.is_ok()) return nullptr;
-      for (const types::ProposalEntry& e : msg.value().entries) {
-        plan_justify(e.block.justify);
-        plan_justify(e.justify);
-      }
-      break;
-    }
-    case MsgKind::kQcNotice: {
-      auto msg = types::open_envelope<types::QcNoticeMsg>(envelope);
-      if (!msg.is_ok()) return nullptr;
-      plan_qc(msg.value().qc);
-      if (msg.value().aux) plan_qc(*msg.value().aux);
-      break;
-    }
-    case MsgKind::kVote: {
-      auto msg = types::open_envelope<types::VoteMsg>(envelope);
-      if (!msg.is_ok()) return nullptr;
-      const types::VoteMsg& v = msg.value();
-      if (auto digest = preverify_vote_digest(v)) {
-        batch.sigs.push_back(PreverifyBatch::SigCheck{v.parsig, *digest});
-      }
-      if (v.locked_qc) plan_qc(*v.locked_qc);
-      break;
-    }
-    case MsgKind::kViewChange: {
-      auto msg = types::open_envelope<types::ViewChangeMsg>(envelope);
-      if (!msg.is_ok()) return nullptr;
-      const types::ViewChangeMsg& vc = msg.value();
-      if (auto digest = preverify_view_change_digest(vc)) {
-        batch.sigs.push_back(PreverifyBatch::SigCheck{vc.parsig, *digest});
-      }
-      plan_justify(vc.high_qc);
-      break;
-    }
-    default:
-      return nullptr;  // nothing signature-bearing on this path
-  }
-  if (batch.empty()) return nullptr;
-
-  // The closure reads only its own copies plus the const suite/verifier;
-  // results are discarded — running a verification warms the tag caches,
-  // and the handler's authoritative re-check is then a cache hit.
-  return [batch = std::move(batch), &suite = suite_,
-          &verifier = verifier_, q = quorum()] {
-    for (const PreverifyBatch::QcCheck& c : batch.qcs) {
-      if (c.qc.is_threshold_form()) {
-        (void)suite.threshold_verify(c.digest.view(), c.qc.threshold_sig);
-      } else {
-        (void)c.qc.sigs.verify(verifier, c.digest.view(), q);
-      }
-    }
-    for (const PreverifyBatch::SigCheck& s : batch.sigs) {
-      (void)verifier.verify(s.sig.signer, s.digest.view(), s.sig.sig);
-    }
-  };
-}
-
 void ReplicaBase::on_view_timeout() {
   if (cview_ == 0) return;
   trace({.type = obs::EventType::kTimeoutFired});

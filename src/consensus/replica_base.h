@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/verify_executor.h"
 #include "consensus/env.h"
 #include "consensus/txpool.h"
 #include "crypto/signer.h"
@@ -113,26 +112,6 @@ class ReplicaBase {
   /// Entry point for every network payload addressed to this replica.
   void handle_message(ReplicaId from, const Envelope& envelope);
 
-  /// Envelope entry point with a verification executor. With an inline
-  /// executor (the simulator, tests) this is exactly handle_message — no
-  /// planning, no allocation, bit-identical behavior and cost charging.
-  /// With a deferred executor (realnet's VerifyPool) the envelope's
-  /// signature work is pre-verified off-thread first: a self-contained
-  /// closure warms the suite's verification caches, then the completion
-  /// dispatches normally on the submitter's thread — the handler's own
-  /// verify_qc / verify_partial calls stay authoritative (and do all the
-  /// charging), they just hit warm caches. Wrong speculative work is only
-  /// a cache miss, never a false accept.
-  void ingress(ReplicaId from, Envelope envelope,
-               common::VerifyExecutor& exec);
-
-  /// The deferrable crypto for one inbound envelope: a closure verifying
-  /// every QC aggregate and partial signature the dispatch path will
-  /// check, touching no mutable replica state (safe on another thread
-  /// under crypto::set_parallel_crypto). Null when the envelope carries
-  /// nothing worth pre-verifying. Exposed for executor tests.
-  std::function<void()> preverify_work(const Envelope& envelope) const;
-
   /// A client operation arrived (runtime decodes ClientRequest envelopes
   /// too, but tests may inject directly).
   void submit(types::Operation op);
@@ -184,25 +163,6 @@ class ReplicaBase {
   /// cview_): enter view `v`, sending the protocol's view-change message
   /// (Marlin VC / HotStuff NEW-VIEW) to the new leader.
   virtual void advance_to_view(ViewNumber v) = 0;
-
-  /// Digest a VoteMsg's partial signature covers, for speculative
-  /// pre-verification (protocol-specific: the QC type of the phase and the
-  /// block-metadata fields differ between Marlin and HotStuff). Read-only;
-  /// nullopt when the digest cannot be derived yet (unknown block) or the
-  /// vote would be discarded before verification anyway.
-  virtual std::optional<Hash256> preverify_vote_digest(
-      const types::VoteMsg& msg) const {
-    (void)msg;
-    return std::nullopt;
-  }
-
-  /// Digest a ViewChangeMsg's partial signature covers (see
-  /// preverify_vote_digest).
-  virtual std::optional<Hash256> preverify_view_change_digest(
-      const types::ViewChangeMsg& msg) const {
-    (void)msg;
-    return std::nullopt;
-  }
 
   /// Recovery completed with a non-empty snapshot whose newest block is
   /// `tip`: the protocol adopts tip's justify QC (its high-QC / lock) and

@@ -31,9 +31,9 @@ inline constexpr std::size_t kSignatureSize = 64;
 /// Parallel-execution switch for the process-wide memoization inside the
 /// fast suite (the tag cache is shared by every simulated replica). Off —
 /// the default — keeps the historical lock-free single-threaded fast path
-/// byte-for-byte; on, probes take a mutex and copy results out, which the
-/// partitioned engine enables before running shard workers concurrently.
-/// Flip only while no suite calls are in flight.
+/// byte-for-byte; on, probes take a mutex and copy results out. Only the
+/// partitioned engine (simnet/sharded.h) turns it on, before running shard
+/// workers concurrently. Flip only while no suite calls are in flight.
 void set_parallel_crypto(bool on);
 bool parallel_crypto();
 

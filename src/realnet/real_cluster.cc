@@ -45,11 +45,6 @@ class RealClient final : public runtime::ClientProcess {
 RealCluster::RealCluster(runtime::ClusterConfig config,
                          RealClusterOptions options)
     : config_(std::move(config)), options_(std::move(options)) {
-  // Worker threads verify through per-replica suites concurrently with the
-  // owning loop's signing; switch the tag caches to their locked mode
-  // before any suite exists. Never unset: other clusters in the process
-  // may still rely on it, and the locked path is correct (just slower).
-  if (options_.verify_workers > 0) crypto::set_parallel_crypto(true);
   const std::uint32_t total = n() + config_.clients.count;
   nodes_.resize(total);
   endpoints_.resize(total);
@@ -132,13 +127,8 @@ Status RealCluster::build_node(std::uint32_t id) {
       if (!posix.is_ok()) return posix.status();
       env = std::move(posix).take();
     }
-    if (options_.verify_workers > 0) {
-      node.verify =
-          std::make_unique<VerifyPool>(*node.loop, options_.verify_workers);
-    }
     node.replica = std::make_unique<RealReplica>(
-        *node.loop, *node.transport, *node.suite, rc, std::move(env),
-        node.verify.get());
+        *node.loop, *node.transport, *node.suite, rc, std::move(env));
     if (!node.replica->ok().is_ok()) return node.replica->ok();
     RealReplica* host = node.replica.get();
     node.transport->set_handler([host](std::uint32_t from, Payload p) {
@@ -281,7 +271,6 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
   // same port, rebuild, rejoin. Peers redial lazily via backoff.
   node.telemetry.reset();  // before the loop it registered with
   node.replica.reset();
-  node.verify.reset();  // joins workers before suite/loop go away
   node.transport.reset();
   node.loop.reset();
   node.suite.reset();

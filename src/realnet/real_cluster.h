@@ -44,10 +44,6 @@ struct RealClusterOptions {
   /// Fixed telemetry ports: replica i listens on telemetry_base_port + i.
   /// 0 = ephemeral ports (read them back via telemetry_port(i)).
   std::uint16_t telemetry_base_port = 0;
-  /// Crypto pre-verification workers per replica. 0 (default) verifies
-  /// inline on the loop thread; >0 spawns a VerifyPool per replica and
-  /// turns on crypto::set_parallel_crypto for the process.
-  std::size_t verify_workers = 0;
 };
 
 class RealCluster {
@@ -139,11 +135,6 @@ class RealCluster {
     std::unique_ptr<TcpTransport> transport;
     std::unique_ptr<obs::TraceSink> trace;
     std::unique_ptr<crypto::SignatureSuite> suite;  // replicas only
-    // Between suite and replica on purpose: destroying the node joins the
-    // pool's workers (which reference the suite) before the suite dies,
-    // after the replica (which holds the pool pointer) is gone, and while
-    // the loop (declared first) is still alive for completion posts.
-    std::unique_ptr<VerifyPool> verify;    // replicas only, opt-in
     std::unique_ptr<RealReplica> replica;  // replicas only
     std::unique_ptr<runtime::ClientProcess> client;  // clients only
     // Declared after the hosts it reads from: destroyed first, while the

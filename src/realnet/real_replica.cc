@@ -6,24 +6,13 @@
 
 namespace marlin::realnet {
 
-namespace {
-runtime::ReplicaHostConfig verified_by(runtime::ReplicaHostConfig config,
-                                       VerifyPool* pool) {
-  config.verify = pool;
-  return config;
-}
-}  // namespace
-
 RealReplica::RealReplica(EventLoop& loop, TcpTransport& transport,
                          const crypto::SignatureSuite& suite,
                          runtime::ReplicaHostConfig config,
-                         std::unique_ptr<storage::Env> env,
-                         VerifyPool* verify_pool)
-    : ReplicaHost(suite, verified_by(std::move(config), verify_pool),
-                  std::move(env)),
+                         std::unique_ptr<storage::Env> env)
+    : ReplicaHost(suite, std::move(config), std::move(env)),
       loop_(loop),
-      transport_(transport),
-      verify_pool_(verify_pool) {
+      transport_(transport) {
   // Loop/wheel health histograms live in this replica's registry (std::map
   // nodes are reference-stable); the loop records into them from its own
   // thread, the same thread that serves /metrics.
@@ -92,9 +81,6 @@ obs::MetricsRegistry RealReplica::snapshot_metrics() const {
   snap.counter("loop.iterations") += loop_.iterations();
   snap.counter("loop.posted_tasks") += loop_.posted_tasks_run();
   snap.counter("loop.timers_fired") += loop_.timers_fired();
-  if (verify_pool_ != nullptr) {
-    verify_pool_->export_metrics(snap);
-  }
   return snap;
 }
 

@@ -22,7 +22,6 @@
 
 #include "realnet/clock.h"
 #include "realnet/tcp_transport.h"
-#include "realnet/verify_pool.h"
 #include "runtime/replica_host.h"
 
 namespace marlin::realnet {
@@ -32,13 +31,11 @@ class RealReplica final : public runtime::ReplicaHost {
   /// Opens (or reopens) the store in `env`; when it holds a persisted
   /// consensus state the protocol is restored from it (relaunch path).
   /// Check ok() before start(). `suite` must outlive the replica and must
-  /// not be shared with another thread. `verify_pool` (optional) checks
-  /// incoming signatures off the loop thread.
+  /// not be shared with another thread.
   RealReplica(EventLoop& loop, TcpTransport& transport,
               const crypto::SignatureSuite& suite,
               runtime::ReplicaHostConfig config,
-              std::unique_ptr<storage::Env> env,
-              VerifyPool* verify_pool = nullptr);
+              std::unique_ptr<storage::Env> env);
 
   Status ok() const { return init_status_; }
 
@@ -75,7 +72,6 @@ class RealReplica final : public runtime::ReplicaHost {
  private:
   EventLoop& loop_;
   TcpTransport& transport_;
-  VerifyPool* verify_pool_;
   Status init_status_ = Status::ok();
 };
 

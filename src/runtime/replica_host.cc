@@ -151,11 +151,7 @@ void ReplicaHost::handle_message(std::uint32_t from, Payload payload) {
   if (env.value().kind == MsgKind::kSnapshotResponse) {
     metrics_.counter("state_transfer.bytes") += payload.size();
   }
-  common::VerifyExecutor& exec =
-      config_.verify != nullptr ? *config_.verify
-                                : common::InlineVerifyExecutor::instance();
-  protocol_->ingress(static_cast<ReplicaId>(from), std::move(env).take(),
-                     exec);
+  protocol_->handle_message(static_cast<ReplicaId>(from), env.value());
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@
 #include "common/histogram.h"
 #include "common/payload.h"
 #include "common/scheduler.h"
-#include "common/verify_executor.h"
 #include "consensus/hotstuff.h"
 #include "consensus/marlin.h"
 #include "faults/byzantine.h"
@@ -53,8 +52,6 @@ struct ReplicaHostConfig {
   obs::TraceSink* trace = nullptr;
   /// fsync the WAL on every write.
   bool sync_writes = false;
-  /// Where incoming signatures are checked; nullptr verifies inline.
-  common::VerifyExecutor* verify = nullptr;
   /// TEST ONLY: skip the write-ahead-voting flush. Simulates a broken build
   /// that forgets durability — the cross-restart safety oracle must catch
   /// the resulting double votes. Never enable outside tests.

@@ -77,8 +77,6 @@ void usage() {
       "  --warmup=S          throughput window starts here (default 0.5)\n"
       "  --seed=N            cluster seed: keys + client payloads (7)\n"
       "  --timeout-ms=N      pacemaker base timeout (default 500)\n"
-      "  --verify-workers=N  off-loop crypto pre-verification threads per\n"
-      "                      replica (default 0 = verify inline)\n"
       "  --data-dir=PATH     durable replica stores under PATH/r<i>\n"
       "                      (default in-memory; required for recovery)\n"
       "  --kill=I@S          hard-kill replica I at S seconds\n"
@@ -238,7 +236,6 @@ bool parse_options(int argc, char** argv, Options* opt) {
     } else if (args.u64("--seed", &opt->cluster.seed)) {
     } else if (args.millis("--timeout-ms",
                            &opt->cluster.consensus.pacemaker.base_timeout)) {
-    } else if (args.size("--verify-workers", &opt->real.verify_workers)) {
     } else if (args.str("--data-dir", &v)) {
       opt->real.data_dir = v;
     } else if (args.str("--kill", &v)) {

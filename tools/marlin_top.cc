@@ -169,10 +169,9 @@ struct NodePoll {
   double redials = 0;
   double drops = 0;
   double q_high_water = 0;
-  // Hot-path shape: egress coalescing + batched ingress + verify pool.
+  // Hot-path shape: egress coalescing + batched ingress.
   double frames_per_flush = 0;  // mean, from the summary's _sum/_count
   double frames_per_wake = 0;
-  double verify_queue = 0;  // 0 when the pool is disabled
   std::map<std::string, double> kind_bytes_sent;  // kind -> bytes
 };
 
@@ -217,7 +216,6 @@ NodePoll poll_node(const std::string& host, std::uint16_t port) {
       series_value(m, "marlin_transport_egress_high_water_bytes");
   p.frames_per_flush = series_mean(m, "marlin_transport_frames_per_flush");
   p.frames_per_wake = series_mean(m, "marlin_loop_frames_per_wake");
-  p.verify_queue = series_value(m, "marlin_verify_pool_queue_depth");
   // kind-split egress: marlin_net_bytes_sent{kind="proposal"} ...
   const std::string prefix = "marlin_net_bytes_sent{kind=\"";
   for (auto it = m.lower_bound(prefix); it != m.end(); ++it) {
@@ -238,10 +236,9 @@ void print_table(const Options& opt, const std::vector<NodePoll>& polls,
   for (const NodePoll& p : polls) reachable += p.reachable ? 1 : 0;
   std::printf("marlin_top — %u/%zu replicas answering\n", reachable,
               polls.size());
-  std::printf("%-18s %-7s %7s %9s %7s %9s %10s %10s %8s %7s %6s %6s %5s\n",
+  std::printf("%-18s %-7s %7s %9s %7s %9s %10s %10s %8s %7s %6s %6s\n",
               "endpoint", "health", "view", "height", "txpool", "ops/s",
-              "sent MB/s", "q_bytes", "q_hw", "redials", "fr/fl", "fr/wk",
-              "vq");
+              "sent MB/s", "q_bytes", "q_hw", "redials", "fr/fl", "fr/wk");
   std::map<std::string, double> kinds;
   for (std::size_t i = 0; i < polls.size(); ++i) {
     char ep[64];
@@ -261,14 +258,14 @@ void print_table(const Options& opt, const std::vector<NodePoll>& polls,
       mb_rate = (p.bytes_sent - prev[i].bytes_sent) / 1e6 / dt;
     }
     std::printf("%-18s %-7s %7llu %9llu %7llu %9.0f %10.2f %10llu %8.0f "
-                "%7.0f %6.1f %6.1f %5.0f\n",
+                "%7.0f %6.1f %6.1f\n",
                 ep, p.healthy ? "ok" : "stall",
                 static_cast<unsigned long long>(p.view),
                 static_cast<unsigned long long>(p.height),
                 static_cast<unsigned long long>(p.txpool), ops_rate, mb_rate,
                 static_cast<unsigned long long>(p.queued_bytes),
                 p.q_high_water, p.redials, p.frames_per_flush,
-                p.frames_per_wake, p.verify_queue);
+                p.frames_per_wake);
     for (const auto& [kind, bytes] : p.kind_bytes_sent) {
       kinds[kind] += bytes;
     }
@@ -302,8 +299,6 @@ void print_json(const Options& opt, const std::vector<NodePoll>& polls) {
       out += ",\"frames_per_flush\":" + std::string(num);
       std::snprintf(num, sizeof num, "%.2f", p.frames_per_wake);
       out += ",\"frames_per_wake\":" + std::string(num);
-      std::snprintf(num, sizeof num, "%.0f", p.verify_queue);
-      out += ",\"verify_queue_depth\":" + std::string(num);
       out += ",\"bytes_sent_by_kind\":{";
       bool first = true;
       for (const auto& [kind, bytes] : p.kind_bytes_sent) {
