@@ -1,4 +1,4 @@
-// Micro-benchmarks for the from-scratch crypto stack (google-benchmark).
+// Micro-benchmarks for the crypto stack (google-benchmark).
 // These numbers justify the virtual-time cost model in crypto/cost_model.h:
 // the simulation charges calibrated ECDSA-class sign/verify costs, and this
 // binary shows what our own implementations cost on the host.
@@ -8,6 +8,7 @@
 #include "crypto/aggregate.h"
 #include "crypto/ecdsa.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernel.h"
 #include "crypto/signer.h"
 
 namespace {
@@ -25,6 +26,40 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+
+// Each SHA-256 compression kernel alone over 256 KiB of whole blocks (one
+// 64-op block of 4 KiB requests), so the two are compared without the
+// dispatch in between.
+void compress_bench(benchmark::State& state,
+                    void (*kernel)(std::uint32_t*, const std::uint8_t*,
+                                   std::size_t)) {
+  Rng rng(4);
+  const Bytes data = rng.next_bytes(256u << 10);
+  std::uint32_t s[8] = {};
+  for (auto _ : state) {
+    kernel(s, data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(s);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+
+void BM_Sha256CompressPortable(benchmark::State& state) {
+  compress_bench(state, detail::compress_portable);
+}
+BENCHMARK(BM_Sha256CompressPortable);
+
+#ifdef MARLIN_HW_SHA256
+void BM_Sha256CompressShaNi(benchmark::State& state) {
+  if (!detail::sha_ni_supported()) {
+    state.SkipWithError("CPU lacks SHA-NI");
+    return;
+  }
+  compress_bench(state, detail::compress_sha_ni);
+}
+BENCHMARK(BM_Sha256CompressShaNi);
+#endif
 
 void BM_HmacSha256(benchmark::State& state) {
   Rng rng(2);

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "obs/export.h"
 #include "realnet/real_cluster.h"
 #include "runtime/experiment.h"
@@ -221,6 +222,7 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     std::string json = "{\"schema\":\"marlin/realnet/v2\",\"quick\":";
     json += quick ? "true" : "false";
+    json += ",\n \"host\":{" + bench::host_json_fields() + "}";
     json +=
         ",\n \"workload\":{\"clients\":4,\"window\":16,\"payload\":150,"
         "\"sim_one_way_us\":50,\"warmup_s\":" +

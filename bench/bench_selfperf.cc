@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench_host.h"
 #include "common/alloc_hook.h"
 #include "runtime/cluster.h"
 #include "simnet/simulator.h"
@@ -331,6 +332,7 @@ int main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof buf,
       "{\"schema\":\"marlin/selfperf/v1\",\"quick\":%s,\n"
+      " \"host\":{%s},\n"
       " \"engine\":{\"events\":%llu,\"wall_ns\":%llu,"
       "\"events_per_sec\":%.0f,\"allocs\":%llu,\"allocs_per_event\":%.4f},\n"
       " \"workload\":{\"n\":%u,\"sim_seconds\":%.3f,\"events\":%llu,"
@@ -342,7 +344,7 @@ int main(int argc, char** argv) {
       "\"allocs_per_event\":%.4f,\"committed_ops\":%llu},\n"
       " \"baseline_loaded\":%s,"
       "\"speedup_vs_baseline\":{\"engine\":%.3f,\"workload\":%.3f}}\n",
-      quick ? "true" : "false",
+      quick ? "true" : "false", bench::host_json_fields().c_str(),
       static_cast<unsigned long long>(eng.events),
       static_cast<unsigned long long>(eng.wall_ns), eng.events_per_sec(),
       static_cast<unsigned long long>(eng.allocs), eng.allocs_per_event(),

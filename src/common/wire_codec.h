@@ -26,9 +26,10 @@ namespace marlin::wire {
 /// Stream frame header: u32 little-endian payload length.
 inline constexpr std::size_t kHeaderSize = 4;
 
-/// Upper bound on a single frame's payload. A snapshot response carrying
-/// kSuffixLimit full blocks is the largest legitimate frame; anything
-/// bigger is a corrupt or hostile stream and kills the connection.
+/// Upper bound on a single frame's payload. A snapshot response, capped
+/// at kSuffixLimit blocks and kSuffixBytes of ops, is the largest
+/// legitimate frame; anything bigger is a corrupt or hostile stream and
+/// kills the connection.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
 
 /// Transport-private frame kind (outside types::MsgKind's range): the

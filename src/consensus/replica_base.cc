@@ -469,10 +469,18 @@ void ReplicaBase::serve_snapshot(ReplicaId to, Height since) {
   resp.height = committed_height_;
   resp.head = committed_hash_;
   Hash256 cursor = committed_hash_;
+  std::size_t suffix_bytes = 0;
   while (resp.suffix.size() < types::SnapshotResponseMsg::kSuffixLimit) {
     const Block* b = store_.get(cursor);
     if (!b || store_.ops_released(cursor)) break;
     if (b->is_genesis() || b->height <= since) break;
+    // Past the byte cap the requester fast-forwards over the rest, as it
+    // does over released bodies (see on_snapshot_response).
+    suffix_bytes += types::ops_wire_size(b->ops) + 128;
+    if (!resp.suffix.empty() &&
+        suffix_bytes > types::SnapshotResponseMsg::kSuffixBytes) {
+      break;
+    }
     resp.suffix.push_back(*b);
     cursor = store_.parent_of(cursor);
     if (cursor.is_zero()) break;

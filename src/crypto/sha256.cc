@@ -3,6 +3,12 @@
 #include <cassert>
 #include <cstring>
 
+#include "crypto/sha256_kernel.h"
+
+#ifdef MARLIN_HW_SHA256
+#include <immintrin.h>
+#endif
+
 namespace marlin::crypto {
 
 namespace {
@@ -28,7 +34,140 @@ constexpr std::uint32_t kRound[64] = {
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+void compress(std::uint32_t state[8], const std::uint8_t* data,
+              std::size_t nblocks) {
+#ifdef MARLIN_HW_SHA256
+  // The SHA extensions compute exactly these rounds; the portable kernel
+  // exists for non-x86 builds and CPUs without them.
+  static const bool hw = detail::sha_ni_supported();
+  if (hw) return detail::compress_sha_ni(state, data, nblocks);
+#endif
+  detail::compress_portable(state, data, nblocks);
+}
+
 }  // namespace
+
+namespace detail {
+
+void compress_portable(std::uint32_t state[8], const std::uint8_t* data,
+                       std::size_t nblocks) {
+  std::uint32_t s[8];
+  std::memcpy(s, state, sizeof s);
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(data[4 * i]) << 24 |
+             static_cast<std::uint32_t>(data[4 * i + 1]) << 16 |
+             static_cast<std::uint32_t>(data[4 * i + 2]) << 8 |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = s[0], b = s[1], c = s[2], d = s[3];
+    std::uint32_t e = s[4], f = s[5], g = s[6], h = s[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    s[0] += a;
+    s[1] += b;
+    s[2] += c;
+    s[3] += d;
+    s[4] += e;
+    s[5] += f;
+    s[6] += g;
+    s[7] += h;
+  }
+  std::memcpy(state, s, sizeof s);
+}
+
+#ifdef MARLIN_HW_SHA256
+bool sha_ni_supported() {
+  // cpu_init makes the answer right even when the first hash runs from a
+  // static initializer, before libgcc's own constructor has probed CPUID.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+         __builtin_cpu_supports("ssse3");
+}
+
+// SHA-NI keeps the eight state words as two vectors, ABEF and CDGH.
+// sha256rnds2 runs two rounds from the low two lanes of W+K; sha256msg1 and
+// sha256msg2 (with the alignr/add between them) extend the schedule four
+// words at a time, so each group of four rounds g feeds W[4g+16..4g+19].
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t nblocks) {
+  // Byte swap of each 32-bit lane: the message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xb1);        // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1b);  // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xf0);       // CDGH
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        msg[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      }
+      __m128i wk = _mm_add_epi32(
+          msg[g % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g < 15) {
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(msg[g % 4], msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, msg[g % 4]);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0e);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+      if (g >= 1 && g < 13) {
+        msg[(g + 3) % 4] = _mm_sha256msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1b);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xb1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xf0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+#endif
+
+}  // namespace detail
 
 Hash256 Hash256::from_bytes(BytesView b) {
   assert(b.size() == kHashSize);
@@ -48,52 +187,6 @@ Sha256::Sha256() {
   std::memcpy(state_.data(), kInit, sizeof kInit);
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
-           static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(BytesView data) {
   total_len_ += data.size();
   std::size_t offset = 0;
@@ -103,13 +196,16 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block left goes to the kernel in one call, so the state
+  // is loaded and stored once per update, not once per 64 bytes.
+  const std::size_t whole = (data.size() - offset) / 64;
+  if (whole > 0) {
+    compress(state_.data(), data.data() + offset, whole);
+    offset += whole * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -122,14 +218,14 @@ Hash256 Sha256::finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
-    process_block(buffer_.data());
+    compress(state_.data(), buffer_.data(), 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  process_block(buffer_.data());
+  compress(state_.data(), buffer_.data(), 1);
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

@@ -1,5 +1,7 @@
-// SHA-256 (FIPS 180-4), implemented from scratch. Used for block parent
-// links, message digests signed by ECDSA, and as the PRF core of HMAC.
+// SHA-256 (FIPS 180-4). Used for block parent links, message digests
+// signed by ECDSA, and as the PRF core of HMAC. The compression function
+// runs on the x86 SHA extensions when the CPU has them and in portable C++
+// otherwise (crypto/sha256_kernel.h); both give the same digests.
 #pragma once
 
 #include <array>
@@ -37,8 +39,6 @@ class Sha256 {
   static Hash256 digest(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;

@@ -82,6 +82,7 @@ inline constexpr std::uint64_t kDropFilter = 0;  // partition / filter
 inline constexpr std::uint64_t kDropRandom = 1;  // loss model
 inline constexpr std::uint64_t kDropFault = 2;   // injected drop-burst window
 inline constexpr std::uint64_t kDropBackpressure = 3;  // realnet egress cap
+inline constexpr std::uint64_t kDropPeerDown = 4;  // realnet link down
 
 struct TraceEvent {
   std::uint64_t seq = 0;        // assigned by the sink, dense and monotonic

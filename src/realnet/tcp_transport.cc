@@ -111,15 +111,24 @@ void TcpTransport::send(std::uint32_t to, Payload payload) {
     // destination table) — indistinguishable from a dead link.
     ++stats_.messages_dropped;
     ++frames_dropped_no_peer_;
-    record_drop(payload, to);
+    record_drop(payload, to, obs::kDropBackpressure);
     return;
   }
   Peer& peer = it->second;
+  if (peer.down) {
+    // The link is down and its redial has not connected yet. Queueing
+    // would hoard a backlog for a dead peer and replay it, stale, into
+    // its next incarnation; consensus tolerates the loss instead.
+    ++stats_.messages_dropped;
+    ++frames_dropped_peer_down_;
+    record_drop(payload, to, obs::kDropPeerDown);
+    return;
+  }
   const std::size_t framed = wire::kHeaderSize + size;
   if (peer.queue_bytes + framed > config_.max_queue_bytes) {
     ++stats_.messages_dropped;
     ++frames_dropped_backpressure_;
-    record_drop(payload, to);
+    record_drop(payload, to, obs::kDropBackpressure);
     return;
   }
 
@@ -134,9 +143,9 @@ void TcpTransport::send(std::uint32_t to, Payload payload) {
   peer.queue_bytes += framed;
   peer.high_water = std::max(peer.high_water, peer.queue_bytes);
 
-  if (peer.fd < 0 && !peer.connecting) {
-    dial(to);
-  } else if (peer.fd >= 0 && !peer.connecting) {
+  if (peer.fd < 0) {
+    dial(to);  // first contact: frames queued meanwhile ride this dial
+  } else if (!peer.connecting) {
     // Coalesce: defer the sendmsg to the end of this loop iteration so
     // every frame queued to this peer meanwhile shares it. The max-defer
     // bound keeps a bulk burst (state transfer, catch-up batches) from
@@ -214,6 +223,8 @@ void TcpTransport::export_metrics(obs::MetricsRegistry& reg) const {
       frames_dropped_backpressure_;
   reg.counter("transport.frames_dropped", "reason=no_peer") +=
       frames_dropped_no_peer_;
+  reg.counter("transport.frames_dropped", "reason=peer_down") +=
+      frames_dropped_peer_down_;
   reg.counter("transport.decode_errors") += decode_errors_;
   reg.counter("transport.flushes") += flushes_;
   reg.counter("transport.ingress_wakes") += ingress_wakes_;
@@ -234,14 +245,15 @@ void TcpTransport::export_metrics(obs::MetricsRegistry& reg) const {
       static_cast<double>(ingress_.size());
 }
 
-void TcpTransport::record_drop(const Payload& payload, std::uint32_t to) {
+void TcpTransport::record_drop(const Payload& payload, std::uint32_t to,
+                               std::uint64_t reason) {
   if (!trace_) return;
   trace_->record({.node = node_id_,
                   .type = obs::EventType::kMsgDropped,
                   .kind = static_cast<std::uint8_t>(
                       wire::kind_slot(payload.view())),
                   .a = to,
-                  .b = obs::kDropBackpressure});
+                  .b = reason});
 }
 
 void TcpTransport::deliver_local(std::uint32_t from, Payload payload) {
@@ -270,7 +282,7 @@ void TcpTransport::dial(std::uint32_t id) {
   const int fd = make_nonblocking_socket();
   if (fd < 0) {
     ++connect_failures_;
-    schedule_redial(id);
+    link_down(id, peer);
     return;
   }
   set_nodelay(fd);
@@ -279,7 +291,7 @@ void TcpTransport::dial(std::uint32_t id) {
   if (rc != 0 && errno != EINPROGRESS) {
     close(fd);
     ++connect_failures_;
-    schedule_redial(id);
+    link_down(id, peer);
     return;
   }
   peer.fd = fd;
@@ -298,7 +310,7 @@ void TcpTransport::schedule_redial(std::uint32_t id) {
   peer.reconnect = loop_.schedule(peer.backoff, [this, id] {
     auto it = peers_.find(id);
     if (it == peers_.end() || shut_down_) return;
-    if (it->second.fd < 0 && !it->second.queue.empty()) dial(id);
+    if (it->second.fd < 0) dial(id);
   });
 }
 
@@ -309,10 +321,11 @@ void TcpTransport::on_dial_writable(std::uint32_t id) {
     socklen_t len = sizeof err;
     getsockopt(peer.fd, SOL_SOCKET, SO_ERROR, &err, &len);
     if (err != 0) {
-      close_peer_conn(id, /*redial=*/true);
+      close_peer_conn(id);
       return;
     }
     peer.connecting = false;
+    peer.down = false;
     peer.backoff = Duration::zero();
     ++connects_ok_;
     // Identify ourselves before any consensus frame. The hello rides the
@@ -377,7 +390,7 @@ void TcpTransport::flush_peer(std::uint32_t id) {
     const ssize_t n = sendmsg(peer.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_peer_conn(id, /*redial=*/true);
+      close_peer_conn(id);
       return;
     }
     peer.queue_bytes -= static_cast<std::size_t>(n);
@@ -404,12 +417,12 @@ void TcpTransport::flush_peer(std::uint32_t id) {
   }
 }
 
-void TcpTransport::close_peer_conn(std::uint32_t id, bool redial) {
+void TcpTransport::close_peer_conn(std::uint32_t id) {
   Peer& peer = peers_[id];
   if (peer.fd < 0) return;
   if (peer.connecting) {
     ++connect_failures_;  // dial never became writable
-  } else if (redial) {
+  } else {
     ++connections_lost_;  // established stream reset under us
   }
   loop_.del_fd(peer.fd);
@@ -418,16 +431,25 @@ void TcpTransport::close_peer_conn(std::uint32_t id, bool redial) {
   peer.fd = -1;
   peer.connecting = false;
   peer.want_write = false;
-  // Unflushed frames stay queued and ride the next connection; a partially
-  // written front frame cannot be resumed mid-stream, so drop it whole.
-  if (peer.front_offset > 0 && !peer.queue.empty()) {
-    peer.queue_bytes -=
-        wire::kHeaderSize + peer.queue.front().payload.size() -
-        peer.front_offset;
-    peer.queue.pop_front();
-    peer.front_offset = 0;
+  link_down(id, peer);
+}
+
+void TcpTransport::link_down(std::uint32_t id, Peer& peer) {
+  // Drop the backlog rather than carry it to the next connection: by then
+  // it is stale, and for a crashed peer it would grow to max_queue_bytes
+  // and replay into the relaunched incarnation.
+  for (const EgressFrame& f : peer.queue) {
+    std::uint32_t hello_id = 0;
+    if (wire::parse_hello(f.payload.view(), &hello_id)) continue;
+    ++stats_.messages_dropped;
+    ++frames_dropped_peer_down_;
+    record_drop(f.payload, id, obs::kDropPeerDown);
   }
-  if (redial && !shut_down_ && !peer.queue.empty()) schedule_redial(id);
+  peer.queue.clear();
+  peer.queue_bytes = 0;
+  peer.front_offset = 0;
+  peer.down = true;
+  if (!shut_down_) schedule_redial(id);
 }
 
 // -- ingress ----------------------------------------------------------------
@@ -533,7 +555,7 @@ void TcpTransport::on_fd_event(int fd, std::uint32_t events) {
   if (auto it = fd_to_peer_.find(fd); it != fd_to_peer_.end()) {
     const std::uint32_t id = it->second;
     if (events & (EPOLLERR | EPOLLHUP)) {
-      close_peer_conn(id, /*redial=*/true);
+      close_peer_conn(id);
       return;
     }
     if (events & EPOLLOUT) on_dial_writable(id);

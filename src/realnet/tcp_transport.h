@@ -12,12 +12,15 @@
 // A dialed connection opens with a hello frame ([kHelloKind][u32 LE node
 // id]) so the acceptor learns who is talking.
 //
-// Egress queues live on the *peer*, not the connection: frames queued
-// while a peer is down (or mid-reconnect) survive the reconnect and flush
-// in order once the new connection is writable. Queue overflow past
-// max_queue_bytes drops the newest frame (counted + traced, like a
-// simulator drop) — consensus tolerates loss by design, so backpressure
-// converts to the same fault model the protocol already handles.
+// Egress queues live on the *peer*. Frames queued while the first dial to
+// a peer is in flight ride that dial. When a dial fails or an established
+// connection is lost, the peer's queue is dropped, and so is every frame
+// sent before a redial connects; redials run only on the backoff
+// schedule. A dead peer therefore costs no buffered backlog, and its next
+// incarnation gets no stale replay. Queue overflow past max_queue_bytes
+// drops the newest frame. Every drop is counted and traced, like a
+// simulator drop — consensus tolerates loss by design, so backpressure
+// and link loss convert to the fault model the protocol already handles.
 #pragma once
 
 #include <cstdint>
@@ -147,6 +150,12 @@ class TcpTransport final : public FdHandler {
   std::uint64_t frames_dropped_no_peer() const {
     return frames_dropped_no_peer_;
   }
+  /// Frames dropped because the link to the peer was down: its queue when
+  /// a dial failed or the connection was lost, and sends before the
+  /// redial connected.
+  std::uint64_t frames_dropped_peer_down() const {
+    return frames_dropped_peer_down_;
+  }
   /// Inbound connections torn down on FrameDecoder errors (oversize or
   /// corrupt framing).
   std::uint64_t decode_errors() const { return decode_errors_; }
@@ -189,6 +198,8 @@ class TcpTransport final : public FdHandler {
     bool connecting = false; // connect() in flight (await EPOLLOUT)
     bool want_write = false; // EPOLLOUT currently registered
     bool dirty = false;      // queued frames awaiting the tick flush
+    bool down = false;       // link lost or dial failed; sends drop until
+                             // a redial connects
     std::deque<EgressFrame> queue;
     std::size_t queue_bytes = 0;   // header+payload bytes still unflushed
     std::size_t high_water = 0;    // max queue_bytes ever reached
@@ -210,11 +221,13 @@ class TcpTransport final : public FdHandler {
   void on_dial_writable(std::uint32_t id);
   void flush_peer(std::uint32_t id);
   void mark_dirty(std::uint32_t id, Peer& peer);
-  void close_peer_conn(std::uint32_t id, bool redial);
+  void close_peer_conn(std::uint32_t id);
+  void link_down(std::uint32_t id, Peer& peer);
   void accept_ready();
   void ingress_readable(int fd);
   void close_ingress(int fd);
-  void record_drop(const Payload& payload, std::uint32_t to);
+  void record_drop(const Payload& payload, std::uint32_t to,
+                   std::uint64_t reason);
   void deliver_local(std::uint32_t from, Payload payload);
 
   EventLoop& loop_;
@@ -244,6 +257,7 @@ class TcpTransport final : public FdHandler {
   std::uint64_t redials_scheduled_ = 0;
   std::uint64_t frames_dropped_backpressure_ = 0;
   std::uint64_t frames_dropped_no_peer_ = 0;
+  std::uint64_t frames_dropped_peer_down_ = 0;
   std::uint64_t decode_errors_ = 0;
   std::uint64_t flushes_ = 0;
   std::uint64_t ingress_wakes_ = 0;

@@ -1,5 +1,6 @@
 #include "types/block.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 
@@ -10,30 +11,51 @@ namespace {
 // Cross-instance digest memo: every replica of a simulated cluster decodes
 // its own Block from the same proposal bytes, so the same encoding is
 // hashed up to n times. Key the digest by the full encoding — first caller
-// pays the SHA-256, the rest pay a hash-map probe. thread_local so parallel
-// simulations (chaos sweeps with --jobs) never contend or mix.
+// pays the SHA-256, the rest pay a hash-map probe and one memcmp.
+// thread_local so parallel simulations (chaos sweeps with --jobs) never
+// contend or mix.
+//
+// The key hash reads only the size and the first kKeyPrefix bytes (the
+// "marlin.block" tag, parent link, views, height and the first op), so a
+// probe never scans a whole multi-KiB encoding; equality still compares
+// whole encodings, so a prefix collision costs a memcmp, never a wrong
+// digest.
+constexpr std::size_t kKeyPrefix = 256;
+// Bounds on what one thread retains: the memo clears past either.
+constexpr std::size_t kMaxEntries = 4096;
+constexpr std::size_t kMaxBytes = 16u << 20;
+
 struct EncodingHasher {
   std::size_t operator()(const Bytes& b) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = (0xcbf29ce484222325ULL ^ b.size()) * 0x100000001b3ULL;
+    const std::size_t n = std::min(b.size(), kKeyPrefix);
     std::size_t i = 0;
-    for (; i + 8 <= b.size(); i += 8) {
+    for (; i + 8 <= n; i += 8) {
       std::uint64_t v;
       std::memcpy(&v, b.data() + i, 8);
       h = (h ^ v) * 0x100000001b3ULL;
       h ^= h >> 29;
     }
-    for (; i < b.size(); ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
+    for (; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
     return h;
   }
 };
 
 Hash256 memoized_digest(Bytes encoding) {
-  thread_local std::unordered_map<Bytes, Hash256, EncodingHasher> memo;
-  auto it = memo.find(encoding);
-  if (it != memo.end()) return it->second;
+  struct Memo {
+    std::unordered_map<Bytes, Hash256, EncodingHasher> map;
+    std::size_t bytes = 0;  // sum of retained encoding sizes
+  };
+  thread_local Memo memo;
+  auto it = memo.map.find(encoding);
+  if (it != memo.map.end()) return it->second;
   const Hash256 d = crypto::Sha256::digest(encoding);
-  if (memo.size() >= 4096) memo.clear();  // bound memory on long runs
-  memo.emplace(std::move(encoding), d);
+  if (memo.map.size() >= kMaxEntries || memo.bytes >= kMaxBytes) {
+    memo.map.clear();
+    memo.bytes = 0;
+  }
+  memo.bytes += encoding.size();
+  memo.map.emplace(std::move(encoding), d);
   return d;
 }
 

@@ -153,14 +153,19 @@ struct SnapshotRequestMsg {
 
 /// Checkpoint manifest (committed height + head digest) plus the block
 /// bodies from the head down toward the requester's `since`, newest
-/// first. The suffix stops early only at bodies the provider has already
-/// released, and is capped at kSuffixLimit blocks per exchange.
+/// first. The suffix stops early at bodies the provider has already
+/// released, and is capped at kSuffixLimit blocks and at about
+/// kSuffixBytes of op payload per exchange. The byte cap keeps one
+/// response inside one frame (wire::kMaxFramePayload) and one metal
+/// egress queue with room to spare; without it, a retained window of
+/// large ops made a response that the sender's queue could never take.
 struct SnapshotResponseMsg {
   Height height = 0;   // provider's committed height (manifest)
   Hash256 head;        // provider's committed hash (chain digest)
   std::vector<Block> suffix;  // newest first
 
   static constexpr std::uint32_t kSuffixLimit = 4096;
+  static constexpr std::size_t kSuffixBytes = 32u << 20;
 
   void encode(Writer& w) const;
   static Result<SnapshotResponseMsg> decode(Reader& r);

@@ -1,6 +1,7 @@
-// Unit tests for the from-scratch crypto stack: SHA-256 / HMAC against
-// published vectors, 256-bit arithmetic, secp256k1 group law, ECDSA, the
-// signer suites, and quorum-certificate aggregation.
+// Unit tests for the crypto stack: SHA-256 / HMAC against published
+// vectors, the portable and SHA-NI compression kernels against each other,
+// 256-bit arithmetic, secp256k1 group law, ECDSA, the signer suites, and
+// quorum-certificate aggregation.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -9,6 +10,7 @@
 #include "crypto/ecdsa.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernel.h"
 #include "crypto/signer.h"
 
 namespace marlin::crypto {
@@ -79,6 +81,86 @@ TEST(Sha256, BoundaryLengths) {
     a.update(data);
     EXPECT_EQ(a.finish(), Sha256::digest(data)) << len;
   }
+}
+
+// The compression kernels, called directly. A reference digest pads by
+// hand and feeds whole blocks to `kernel` in random-sized runs, so a kernel
+// that mishandles a multi-block call or a state carried across calls
+// disagrees with the others.
+using Kernel = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+Hash256 kernel_digest(Kernel kernel, const Bytes& data, Rng& rng) {
+  Bytes padded = data;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::size_t block = 0;
+  const std::size_t blocks = padded.size() / 64;
+  while (block < blocks) {
+    const std::size_t run =
+        std::min<std::size_t>(1 + rng.next_below(8), blocks - block);
+    kernel(state, padded.data() + 64 * block, run);
+    block += run;
+  }
+  Hash256 out;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out.data[4 * i + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+// Sha256 fed in random update splits, so updates that start mid-block,
+// end mid-block and span many whole blocks all occur.
+Hash256 split_digest(const Bytes& data, Rng& rng) {
+  Sha256 h;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const std::size_t take = std::min<std::size_t>(
+        1 + rng.next_below(300), data.size() - pos);
+    h.update(BytesView(data.data() + pos, take));
+    pos += take;
+  }
+  return h.finish();
+}
+
+TEST(Sha256Kernel, PortableMatchesKnownAnswer) {
+  Rng rng(5);
+  EXPECT_EQ(kernel_digest(detail::compress_portable, to_bytes("abc"), rng)
+                .to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Kernel, PortableMatchesSha256OnRandomSplits) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes data = rng.next_bytes(rng.next_below(5001));
+    const Hash256 want = kernel_digest(detail::compress_portable, data, rng);
+    ASSERT_EQ(split_digest(data, rng), want) << data.size();
+    ASSERT_EQ(Sha256::digest(data), want) << data.size();
+  }
+}
+
+TEST(Sha256Kernel, ShaNiMatchesPortableOnRandomLengthsAndSplits) {
+#ifdef MARLIN_HW_SHA256
+  if (!detail::sha_ni_supported()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes data = rng.next_bytes(rng.next_below(5001));
+    const Hash256 want = kernel_digest(detail::compress_portable, data, rng);
+    ASSERT_EQ(kernel_digest(detail::compress_sha_ni, data, rng), want)
+        << data.size();
+    ASSERT_EQ(split_digest(data, rng), want) << data.size();
+  }
+#else
+  GTEST_SKIP() << "SHA-NI kernel not built on this architecture";
+#endif
 }
 
 TEST(Hash256, ShortHexAndZero) {

@@ -446,8 +446,8 @@ TEST(TcpTransport, ReconnectsAfterReceiverRestart) {
   b2.set_handler([&](std::uint32_t, Payload) { ++got; });
   std::thread t2([&] { loop2.run(); });
 
-  // Sends queued/dropped while b was down get a new connection: the send
-  // below dials afresh (or rides a backoff retry) and must arrive.
+  // Frames sent while the link is down are dropped, and the backoff redial
+  // reconnects to the new incarnation: keep sending until one arrives.
   ASSERT_TRUE(eventually(Duration::seconds(8), [&] {
     a.loop.post([&] { a.transport->send(1, Payload(Bytes{4, 2})); });
     return got.load() >= 2;
@@ -605,10 +605,6 @@ TEST(RealCluster, KilledReplicaRelaunchesFromDiskAndRejoins) {
   std::filesystem::remove_all(dir);
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry plane observes transport faults from outside the process
-// ---------------------------------------------------------------------------
-
 // Scrape helper: GET /metrics and pull one series value out of the
 // Prometheus text (exact-name match at line start, value after the space).
 double scraped_metric(std::uint16_t port, const std::string& series) {
@@ -624,6 +620,66 @@ double scraped_metric(std::uint16_t port, const std::string& series) {
   if (pos == std::string::npos) return -1;
   return std::atof(body.c_str() + pos + needle.size());
 }
+
+TEST(RealCluster, SurvivorsHoardNoBacklogForAKilledPeer) {
+  const std::string dir = "/tmp/marlin_realnet_backlog_test";
+  std::filesystem::remove_all(dir);
+
+  // Two clients, 16 outstanding 4 KiB requests each. At this load a
+  // survivor that kept a dead peer's queue for the next connection built
+  // tens of MB of backlog, up to max_queue_bytes (62-66 MB seen). The
+  // relaunched replica is then far enough behind that the survivors have
+  // released the bodies it misses, so it rejoins by snapshot, whose
+  // response must fit one frame and one egress queue.
+  runtime::ClusterConfig cfg = quick_cluster_config(1);
+  cfg.clients.window = 16;
+  cfg.clients.payload_size = 4096;
+  RealClusterOptions opts;
+  opts.data_dir = dir;
+  opts.telemetry = true;
+  RealCluster cluster(cfg, opts);
+  ASSERT_TRUE(cluster.ok().is_ok()) << cluster.ok().message();
+  cluster.start();
+  ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
+    return live_completed(cluster) > 30;
+  }));
+
+  // Replica 2 stays dead for 2 s under client load; the rest commit on.
+  cluster.kill_replica(2);
+  const std::uint64_t before = live_completed(cluster);
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  EXPECT_GT(live_completed(cluster), before);
+
+  // Each survivor's largest per-peer backlog while 2 was down stays at
+  // least 10x below what the hoarding transport reached.
+  for (std::uint32_t id : {0u, 1u, 3u}) {
+    const double high_water = scraped_metric(
+        cluster.telemetry_port(id), "marlin_transport_egress_high_water_bytes");
+    EXPECT_GE(high_water, 0.0) << "replica " << id;
+    EXPECT_LT(high_water, 6.2e6) << "replica " << id;
+  }
+
+  // The relaunched incarnation gets no stale replay, yet still rejoins and
+  // delivers blocks through consensus catch-up.
+  ASSERT_TRUE(cluster.relaunch_replica(2).is_ok());
+  ASSERT_TRUE(eventually(Duration::seconds(30), [&] {
+    return live_committed_height(cluster, 2) > 0;
+  }));
+  cluster.stop();
+
+  std::uint64_t dropped = 0;
+  for (std::uint32_t id : {0u, 1u, 3u}) {
+    dropped += cluster.transport(id).frames_dropped_peer_down();
+  }
+  EXPECT_GT(dropped, 0u) << "no survivor dropped frames to the dead peer";
+  EXPECT_FALSE(cluster.any_safety_violation());
+  EXPECT_TRUE(cluster.committed_heights_consistent());
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry plane observes transport faults from outside the process
+// ---------------------------------------------------------------------------
 
 TEST(RealCluster, ScrapedMetricsObserveKilledPeerAndReconnect) {
   runtime::ClusterConfig cfg = quick_cluster_config(1);

@@ -81,6 +81,51 @@ TEST(Block, ShadowBlocksHashDifferently) {
   EXPECT_NE(b1.hash(), b2.hash());
 }
 
+// Block::hash() through its digest memo must equal a plain SHA-256 of the
+// block's hash encoding.
+Hash256 unmemoized_hash(const Block& b) {
+  Writer w;
+  w.str("marlin.block");
+  b.encode(w);
+  return crypto::Sha256::digest(std::move(w).take());
+}
+
+TEST(Block, MemoKeepsBlocksApartWhenOnlyLaterBytesDiffer) {
+  // The memo keys on the encoding's size and first 256 bytes. These two
+  // blocks agree on both and differ at byte ~900 of the first op's payload.
+  Block a = make_block(7, 3, crypto::Sha256::digest(to_bytes("p")), 6,
+                       {make_op(1, 1, 1000)});
+  Block b = a;
+  b.ops[0].payload[900] ^= 0x01;
+  const Hash256 ha = a.hash();
+  const Hash256 hb = b.hash();
+  EXPECT_NE(ha, hb);
+  EXPECT_EQ(ha, unmemoized_hash(a));
+  EXPECT_EQ(hb, unmemoized_hash(b));
+  // Fresh copies (no per-object memo) answer from the thread's memo.
+  const Block a2 = a;
+  const Block b2 = b;
+  EXPECT_EQ(a2.hash(), ha);
+  EXPECT_EQ(b2.hash(), hb);
+}
+
+TEST(Block, MemoStaysCorrectPastItsByteBound) {
+  // 96 distinct 256 KiB blocks on one thread: 24 MiB of encodings, past
+  // the memo's 16 MiB bound, so it clears at least once mid-run.
+  std::vector<Block> blocks;
+  std::vector<Hash256> first;
+  for (std::uint64_t i = 0; i < 96; ++i) {
+    blocks.push_back(make_block(i + 1, i + 1, Hash256{}, i,
+                                {make_op(1, i + 1, 256u << 10)}));
+    first.push_back(blocks.back().hash());
+    ASSERT_EQ(first.back(), unmemoized_hash(blocks.back())) << i;
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const Block copy = blocks[i];
+    ASSERT_EQ(copy.hash(), first[i]) << i;
+  }
+}
+
 TEST(Block, WireRoundTrip) {
   Block b = make_block(4, 9, crypto::Sha256::digest(to_bytes("p")), 3,
                        {make_op(1, 1, 100), make_op(2, 7, 50)});

@@ -439,7 +439,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.egress_high_water_bytes()),
                 static_cast<unsigned long long>(
                     t.frames_dropped_backpressure() +
-                    t.frames_dropped_no_peer()),
+                    t.frames_dropped_no_peer() +
+                    t.frames_dropped_peer_down()),
                 static_cast<unsigned long long>(t.redials_scheduled()),
                 cluster.replica(i).recovered() ? "yes" : "-");
   }
