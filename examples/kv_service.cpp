@@ -97,10 +97,11 @@ struct Node : consensus::ProtocolEnv {
   void broadcast(const types::Envelope& env) override {
     for (ReplicaId r = 0; r < 4; ++r) bus.queue.push_back({id, r, env});
   }
-  void deliver(const types::Block& block,
-               const std::vector<types::Operation>& executable) override {
-    for (const types::Operation& op : executable) {
-      apply(*db, op);
+  void deliver(
+      const types::Block& block,
+      const std::vector<const types::Operation*>& executable) override {
+    for (const types::Operation* op : executable) {
+      apply(*db, *op);
       ++applied;
     }
     (void)block;

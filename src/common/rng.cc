@@ -1,6 +1,8 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace marlin {
 
@@ -63,8 +65,18 @@ double Rng::next_exponential(double mean) {
 }
 
 Bytes Rng::next_bytes(std::size_t n) {
+  // Each draw contributes its 8 bytes least-significant first. On a
+  // little-endian host that is the word's memory layout, so whole words
+  // are stored with one memcpy; the byte loop serves big-endian hosts and
+  // the tail.
   Bytes out(n);
   std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 8 <= n; i += 8) {
+      const std::uint64_t r = next_u64();
+      std::memcpy(out.data() + i, &r, 8);
+    }
+  }
   while (i < n) {
     std::uint64_t r = next_u64();
     for (int b = 0; b < 8 && i < n; ++b, ++i) {

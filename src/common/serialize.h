@@ -16,6 +16,13 @@
 
 namespace marlin {
 
+/// Bytes Writer::varint(v) appends.
+inline std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Append-only encoder. Cheap to create; move the buffer out when done.
 class Writer {
  public:

@@ -53,13 +53,15 @@ class ProtocolEnv {
   virtual void broadcast(const types::Envelope& env) = 0;
 
   /// A block is committed. Called in chain order, exactly once per block.
-  /// `executable` holds the block's operations that have NOT been executed
-  /// before (exactly-once SMR semantics: a request that slipped into two
-  /// blocks — e.g. re-proposed after a view change or a client retransmit —
-  /// executes only the first time). The runtime executes them, persists,
-  /// and replies to clients.
-  virtual void deliver(const types::Block& block,
-                       const std::vector<types::Operation>& executable) = 0;
+  /// `executable` points at the block's operations (in `block.ops`) that
+  /// have NOT been executed before (exactly-once SMR semantics: a request
+  /// that slipped into two blocks — e.g. re-proposed after a view change or
+  /// a client retransmit — executes only the first time). The pointers are
+  /// valid for the call. The runtime executes them, persists, and replies
+  /// to clients.
+  virtual void deliver(
+      const types::Block& block,
+      const std::vector<const types::Operation*>& executable) = 0;
 
   /// The replica moved to view `v` (timeout, or view sync). The pacemaker
   /// restarts its view timer.

@@ -109,8 +109,6 @@ void HotStuffReplica::propose(bool force) {
   b.justify = Justify{qc, {}};
 
   env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
-  store_.insert(b);
-
   const Height proposed_height = b.height;
   const std::size_t proposed_ops = b.ops.size();
   const Hash256 proposed_hash = b.hash();
@@ -120,7 +118,12 @@ void HotStuffReplica::propose(bool force) {
   msg.view = cview_;
   msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
   propose_ready_ = false;
-  broadcast(types::make_envelope(MsgKind::kProposal, msg));
+  // Encode the frame first, then move the block into the store: the block
+  // is hashed once and never copied.
+  const types::Envelope proposal =
+      types::make_envelope(MsgKind::kProposal, msg);
+  store_.insert(std::move(msg.entries[0].block));
+  broadcast(proposal);
   if (proposed_ops > 0) {
     trace({.type = obs::EventType::kBatchDequeued,
            .height = proposed_height,
@@ -180,10 +183,12 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 
   env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   const Hash256 h = b.hash();
-  store_.insert(b);
+  // The message owns the block: move it (and its memoized identity) into
+  // the store. `stored` replaces `b` from here on.
+  const Block& stored = store_.insert(std::move(msg.entries[0].block));
   trace({.type = obs::EventType::kProposalReceived,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
 
@@ -191,21 +196,21 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
   vote.phase = Phase::kPrepare;
   vote.view = cview_;
   vote.block_hash = h;
-  vote.parsig = sign_digest(
-      digest_for(QcType::kPrepare, h, b.view, b.height, b.parent_view));
+  vote.parsig = sign_digest(digest_for(QcType::kPrepare, h, stored.view,
+                                       stored.height, stored.parent_view));
 
   // Write-ahead voting: advance the voted watermark durably before the
   // vote leaves, or a crash+restart could vote again at this (view,
   // height) for a conflicting block.
-  lb_view_ = b.view;
-  lb_height_ = b.height;
+  lb_view_ = stored.view;
+  lb_height_ = stored.height;
   if (qc_higher(qc, prepare_qc_high_)) prepare_qc_high_ = qc;
   persist();
 
   send_to(from, types::make_envelope(MsgKind::kVote, vote));
   trace({.type = obs::EventType::kVoteSent,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
 }

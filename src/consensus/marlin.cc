@@ -161,8 +161,6 @@ void MarlinReplica::propose_normal(bool force) {
   b.justify = Justify{qc, std::nullopt};
 
   env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
-  store_.insert(b);
-
   const Height proposed_height = b.height;
   const std::size_t proposed_ops = b.ops.size();
   const Hash256 proposed_hash = b.hash();
@@ -172,7 +170,12 @@ void MarlinReplica::propose_normal(bool force) {
   msg.view = cview_;
   msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
   propose_ready_ = false;
-  broadcast(types::make_envelope(MsgKind::kProposal, msg));
+  // Encode the frame first, then move the block into the store: the block
+  // is hashed once and never copied.
+  const types::Envelope proposal =
+      types::make_envelope(MsgKind::kProposal, msg);
+  store_.insert(std::move(msg.entries[0].block));
+  broadcast(proposal);
   if (proposed_ops > 0) {
     trace({.type = obs::EventType::kBatchDequeued,
            .height = proposed_height,
@@ -202,10 +205,10 @@ void MarlinReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
   }
   switch (msg.phase) {
     case Phase::kPrepare:
-      handle_prepare_proposal(from, msg);
+      handle_prepare_proposal(from, std::move(msg));
       return;
     case Phase::kPrePrepare:
-      handle_preprepare_proposal(from, msg);
+      handle_preprepare_proposal(from, std::move(msg));
       return;
     default:
       return;
@@ -213,7 +216,7 @@ void MarlinReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 }
 
 void MarlinReplica::handle_prepare_proposal(ReplicaId from,
-                                            const types::ProposalMsg& msg) {
+                                            types::ProposalMsg msg) {
   if (msg.entries.size() != 1) return;
   const Block& b = msg.entries[0].block;
   const Justify& j = msg.entries[0].justify;
@@ -236,13 +239,15 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   const Hash256 h = b.hash();
   if (!block_ref_rank_greater(b.view, b.height, b.justify)) return;
 
-  store_.insert(b);
+  // The message owns the block: move it (and its memoized identity) into
+  // the store. `stored` replaces `b` from here on.
+  const Block& stored = store_.insert(std::move(msg.entries[0].block));
   trace({.type = obs::EventType::kProposalReceived,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
-  const Hash256 digest = prepare_digest_for_block(b, h);
+  const Hash256 digest = prepare_digest_for_block(stored, h);
   types::VoteMsg vote;
   vote.phase = Phase::kPrepare;
   vote.view = cview_;
@@ -252,7 +257,7 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   // Write-ahead voting: the voted/locked state must be durable before the
   // vote leaves this replica, or a crash+restart could vote again at the
   // same (view, height) for a different block.
-  lb_ = BlockRef{h, b.view, b.height, b.parent_view, false};
+  lb_ = BlockRef{h, stored.view, stored.height, stored.parent_view, false};
   update_high_qc(j);
   update_locked(qc);
   persist();
@@ -260,7 +265,7 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   send_to(from, types::make_envelope(MsgKind::kVote, vote));
   trace({.type = obs::EventType::kVoteSent,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
 }
@@ -658,9 +663,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
     b.ops = batch;
     b.justify = j;
     env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
-    const Hash256 h = b.hash();
-    store_.insert(b);
-    st.proposed.emplace_back(h, false);
+    st.proposed.emplace_back(b.hash(), false);
     msg.entries.push_back(types::ProposalEntry{std::move(b), j});
   };
 
@@ -681,9 +684,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
       b2.ops = batch;
       b2.justify = *candidates[0];
       env_.charge(Cost::kHashBytes, 128);  // ops already hashed for b1
-      const Hash256 h2 = b2.hash();
-      store_.insert(b2);
-      st.proposed.emplace_back(h2, true);
+      st.proposed.emplace_back(b2.hash(), true);
       msg.entries.push_back(
           types::ProposalEntry{std::move(b2), *candidates[0]});
     }
@@ -694,7 +695,12 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
     for (const Justify* j : candidates) add_child(*j);
   }
 
-  broadcast(types::make_envelope(MsgKind::kProposal, msg));
+  // Encode the frame first, then move the blocks into the store: each is
+  // hashed once and never copied.
+  const types::Envelope proposal =
+      types::make_envelope(MsgKind::kProposal, msg);
+  for (types::ProposalEntry& e : msg.entries) store_.insert(std::move(e.block));
+  broadcast(proposal);
   trace({.type = obs::EventType::kProposalSent,
          .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
          .a = batch.size(),
@@ -702,10 +708,10 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
 }
 
 void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
-                                               const types::ProposalMsg& msg) {
+                                               types::ProposalMsg msg) {
   if (msg.entries.empty() || msg.entries.size() > 2) return;
 
-  for (const types::ProposalEntry& entry : msg.entries) {
+  for (types::ProposalEntry& entry : msg.entries) {
     const Block& b = entry.block;
     const Justify& j = entry.justify;
     if (!j.qc) continue;
@@ -750,10 +756,11 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
 
     env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
     const Hash256 h = b.hash();
-    store_.insert(b);
+    // The message owns the block: move it into the store.
+    const Block& stored = store_.insert(std::move(entry.block));
     trace({.type = obs::EventType::kProposalReceived,
            .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
-           .height = b.height,
+           .height = stored.height,
            .block = trace_block_id(h),
            .a = from});
 
@@ -761,14 +768,14 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
     vm.phase = Phase::kPrePrepare;
     vm.view = cview_;
     vm.block_hash = h;
-    vm.parsig = sign_digest(
-        types::vote_digest(kDomain, QcType::kPrePrepare, cview_, h, b.view,
-                           b.height, b.parent_view, b.virtual_block));
+    vm.parsig = sign_digest(types::vote_digest(
+        kDomain, QcType::kPrePrepare, cview_, h, stored.view, stored.height,
+        stored.parent_view, stored.virtual_block));
     if (attach_locked) vm.locked_qc = locked_qc_;
     send_to(from, types::make_envelope(MsgKind::kVote, vm));
     trace({.type = obs::EventType::kVoteSent,
            .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
-           .height = b.height,
+           .height = stored.height,
            .block = trace_block_id(h),
            .a = from});
     // Pre-prepare votes update no replica state (lb/highQC/lockedQC).

@@ -71,14 +71,13 @@ class MarlinReplica : public ReplicaBase {
 
   // -- normal case ----------------------------------------------------------
   void propose_normal(bool force);
-  void handle_prepare_proposal(ReplicaId from, const types::ProposalMsg& msg);
+  void handle_prepare_proposal(ReplicaId from, types::ProposalMsg msg);
   void handle_commit_notice(ReplicaId from, const types::QcNoticeMsg& msg);
   void handle_decide_notice(ReplicaId from, const types::QcNoticeMsg& msg);
 
   // -- view change ----------------------------------------------------------
   void enter_view(ViewNumber v, bool send_vc);
-  void handle_preprepare_proposal(ReplicaId from,
-                                  const types::ProposalMsg& msg);
+  void handle_preprepare_proposal(ReplicaId from, types::ProposalMsg msg);
   void handle_prepare_notice(ReplicaId from, const types::QcNoticeMsg& msg);
   void leader_check_vc_quorum();
   void leader_act_on_snapshot(VcState& st);

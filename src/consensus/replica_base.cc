@@ -65,7 +65,7 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
   // proposing) again could equivocate. Client ops still pool, and the
   // fetch/snapshot plane stays open — that's how recovery completes.
   if (recovering_) {
-    switch (envelope.kind) {
+    switch (envelope.kind()) {
       case MsgKind::kProposal:
       case MsgKind::kVote:
       case MsgKind::kQcNotice:
@@ -76,7 +76,7 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
         break;
     }
   }
-  switch (envelope.kind) {
+  switch (envelope.kind()) {
     case MsgKind::kClientRequest: {
       auto msg = types::open_envelope<types::ClientRequestMsg>(envelope);
       if (msg.is_ok()) {
@@ -361,12 +361,13 @@ void ReplicaBase::commit_to(const Hash256& target, ReplicaId provider) {
 
   for (const Hash256& h : path) {
     const Block* b = store_.get(h);
-    std::vector<types::Operation> executable;
+    // Points into the stored body: delivery reads the ops, never copies them.
+    std::vector<const types::Operation*> executable;
     executable.reserve(b->ops.size());
     for (const types::Operation& op : b->ops) {
       if (pool_.executed(op.client, op.request)) continue;  // duplicate
       pool_.mark_committed(op);
-      executable.push_back(op);
+      executable.push_back(&op);
     }
     env_.deliver(*b, executable);
     trace({.type = obs::EventType::kCommit,
@@ -552,10 +553,13 @@ void ReplicaBase::on_snapshot_response(ReplicaId from,
   // frontier to the suffix base, skipping the unfetchable region. The
   // skipped blocks are never delivered locally; the walkable prefix of
   // this replica's chain now starts at the snapshot base.
+  Height skipped = 0;
   if (oldest_height > committed_height_ + 1 &&
       !store_.extends(msg.head, committed_hash_)) {
     const Hash256 base_parent = store_.parent_of(oldest_hash);
     if (!base_parent.is_zero()) {
+      skipped = oldest_height - 1 - committed_height_;
+      skipped_heights_ += skipped;
       committed_hash_ = base_parent;
       committed_height_ = oldest_height - 1;
       // The catch-up anchor may now sit below the skipped region; drop it
@@ -570,7 +574,8 @@ void ReplicaBase::on_snapshot_response(ReplicaId from,
          .height = msg.height,
          .block = trace_block_id(msg.head),
          .a = 2,
-         .b = msg.suffix.size()});
+         .b = msg.suffix.size(),
+         .c = skipped});
   // A recovering replica re-anchors on the snapshot tip: the protocol
   // adopts its justify QC (verified there — a lying manifest cannot plant
   // state) and recovery completes.

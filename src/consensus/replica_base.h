@@ -143,6 +143,10 @@ class ReplicaBase {
   Height committed_height() const { return committed_height_; }
   const Hash256& committed_hash() const { return committed_hash_; }
   std::uint64_t committed_blocks() const { return committed_blocks_; }
+  /// Heights a snapshot fast-forward skipped without delivering them (the
+  /// provider had already released those bodies): a hole in this
+  /// instance's delivered log.
+  std::uint64_t skipped_heights() const { return skipped_heights_; }
   /// Set iff a commit ever contradicted the local committed chain — the
   /// safety tripwire property tests assert on.
   bool safety_violated() const { return safety_violated_; }
@@ -258,6 +262,7 @@ class ReplicaBase {
   Hash256 committed_hash_;
   Height committed_height_ = 0;
   std::uint64_t committed_blocks_ = 0;
+  std::uint64_t skipped_heights_ = 0;
   bool safety_violated_ = false;
   /// View in which recovery completed (proposing suppressed there; see
   /// propose_held()). 0 = no hold.

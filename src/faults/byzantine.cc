@@ -36,7 +36,8 @@ ByzantineBox::WireEffect ByzantineBox::transform_wire(
       // odd-id peers (self keeps the honest variant so the local state
       // machine stays consistent). Tampering with the batch changes the
       // block hash: two valid-looking blocks at one (view, height).
-      if (env.kind != types::MsgKind::kProposal || to == self || to % 2 == 0) {
+      if (env.kind() != types::MsgKind::kProposal || to == self ||
+          to % 2 == 0) {
         return pass();
       }
       auto msg = types::open_envelope<types::ProposalMsg>(env);
@@ -54,12 +55,12 @@ ByzantineBox::WireEffect ByzantineBox::transform_wire(
     }
 
     case ByzantineMode::kSilentVoter:
-      if (env.kind != types::MsgKind::kVote) return pass();
+      if (env.kind() != types::MsgKind::kVote) return pass();
       ++interventions_;
       return {std::nullopt, true};
 
     case ByzantineMode::kStaleVoteReplayer: {
-      if (env.kind != types::MsgKind::kVote) return pass();
+      if (env.kind() != types::MsgKind::kVote) return pass();
       if (!stale_vote_) {
         stale_vote_ = env;  // first vote flows honestly (and is remembered)
         return pass();
@@ -69,7 +70,7 @@ ByzantineBox::WireEffect ByzantineBox::transform_wire(
     }
 
     case ByzantineMode::kInvalidSigSender: {
-      if (env.kind != types::MsgKind::kVote) return pass();
+      if (env.kind() != types::MsgKind::kVote) return pass();
       auto msg = types::open_envelope<types::VoteMsg>(env);
       if (!msg.is_ok()) return pass();
       types::VoteMsg m = std::move(msg).take();

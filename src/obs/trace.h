@@ -54,7 +54,8 @@ enum class EventType : std::uint8_t {
   kStateTransfer,      // snapshot state transfer step (a = 0 request sent,
                        // 1 snapshot served, 2 snapshot applied, 3 amnesia
                        // recovery complete; b = suffix blocks; height =
-                       // manifest committed height)
+                       // manifest committed height; on a = 2, c = heights
+                       // fast-forwarded over without delivery)
   kCount,              // sentinel — number of event types
 };
 

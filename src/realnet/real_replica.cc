@@ -51,6 +51,9 @@ std::string RealReplica::status_json() {
   out += std::string(",\"recovering\":") +
          (protocol().recovering() ? "true" : "false");
   out += std::string(",\"healthy\":") + (healthy() ? "true" : "false");
+  out += ",\"skipped_heights\":" +
+         std::to_string(
+             metrics().counter_value("state_transfer.skipped_heights"));
   out += ",\"queued_bytes\":" + std::to_string(transport_.queued_bytes());
   out += ",\"peers\":[";
   bool first = true;

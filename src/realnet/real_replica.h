@@ -50,7 +50,8 @@ class RealReplica final : public runtime::ReplicaHost {
   bool healthy() const;
 
   /// JSON body for GET /status: node id, protocol, view, committed height,
-  /// tx-pool depth, recovery flags, and per-peer connection state.
+  /// tx-pool depth, recovery flags, heights skipped by snapshot
+  /// fast-forward, and per-peer connection state.
   std::string status_json();
 
   /// Self-contained metrics snapshot for /metrics and the series sampler:

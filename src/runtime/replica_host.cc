@@ -145,13 +145,21 @@ consensus::MarlinReplica* ReplicaHost::marlin() {
 
 void ReplicaHost::handle_message(std::uint32_t from, Payload payload) {
   if (stopped_) return;
-  spend(Cost::kSerializeBytes, payload.size());
-  auto env = Envelope::parse(payload.view());
+  const std::size_t size = payload.size();
+  spend(Cost::kSerializeBytes, size);
+  // The envelope takes the frame itself: the protocol decodes straight out
+  // of the buffer the transport received into.
+  auto env = Envelope::parse(std::move(payload));
   if (!env.is_ok()) return;
-  if (env.value().kind == MsgKind::kSnapshotResponse) {
-    metrics_.counter("state_transfer.bytes") += payload.size();
+  if (env.value().kind() == MsgKind::kSnapshotResponse) {
+    metrics_.counter("state_transfer.bytes") += size;
   }
+  const std::uint64_t skipped = protocol_->skipped_heights();
   protocol_->handle_message(static_cast<ReplicaId>(from), env.value());
+  if (protocol_->skipped_heights() != skipped) {
+    metrics_.counter("state_transfer.skipped_heights") +=
+        protocol_->skipped_heights() - skipped;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -169,7 +177,7 @@ std::uint32_t ReplicaHost::count_authenticators(
     if (j.vc) c += std::max<std::size_t>(1, j.vc->sigs.parts.size());
     return c;
   };
-  switch (env.kind) {
+  switch (env.kind()) {
     case MsgKind::kVote: {
       auto m = types::open_envelope<types::VoteMsg>(env);
       if (!m.is_ok()) return 0;
@@ -218,9 +226,8 @@ void ReplicaHost::send(ReplicaId to, const Envelope& env) {
   send_wire(to, env);
 }
 
-void ReplicaHost::send_wire(ReplicaId to, const Envelope& env,
-                            const Payload* pre) {
-  Payload wire = pre != nullptr ? *pre : Payload(env.serialize());
+void ReplicaHost::send_wire(ReplicaId to, const Envelope& env) {
+  Payload wire = env.serialize();
   spend(Cost::kSerializeBytes, wire.size());
   std::uint32_t authenticators = 0;
   if (count_authenticators_) {
@@ -231,7 +238,7 @@ void ReplicaHost::send_wire(ReplicaId to, const Envelope& env,
   // protocol host knows the current view — what per-view leader-egress
   // analysis (trace_inspect) attributes bytes by.
   trace({.type = obs::EventType::kMsgSent,
-         .kind = static_cast<std::uint8_t>(env.kind),
+         .kind = static_cast<std::uint8_t>(env.kind()),
          .view = protocol_ ? protocol_->current_view() : 0,
          .a = wire.size(),
          .b = authenticators});
@@ -241,12 +248,11 @@ void ReplicaHost::send_wire(ReplicaId to, const Envelope& env,
 void ReplicaHost::broadcast(const Envelope& env) {
   if (stopped_) return;
   const std::uint32_t n = config_.replica.quorum.n;
-  // Serialize once and let every destination (the loopback self-send
-  // included) share the refcounted buffer. The serialize charge and
-  // kMsgSent trace stay per destination. A Byzantine box gets first
-  // refusal per destination; only destinations whose frame it actually
-  // tampers with pay for a private serialization (copy-on-write).
-  Payload shared;
+  // The envelope already is the serialized frame: every destination (the
+  // loopback self-send included) shares its refcounted buffer. The
+  // serialize charge and kMsgSent trace stay per destination. A Byzantine
+  // box gets first refusal per destination; only destinations whose frame
+  // it actually tampers with get a private frame (copy-on-write).
   for (ReplicaId r = 0; r < n; ++r) {
     if (byzantine_.active()) {
       auto fx = byzantine_.transform_wire(env, config_.replica.id, r);
@@ -256,13 +262,13 @@ void ReplicaHost::broadcast(const Envelope& env) {
         continue;
       }
     }
-    if (!shared.has_value()) shared = Payload(env.serialize());
-    send_wire(r, env, &shared);
+    send_wire(r, env);
   }
 }
 
-void ReplicaHost::deliver(const types::Block& block,
-                          const std::vector<types::Operation>& executable) {
+void ReplicaHost::deliver(
+    const types::Block& block,
+    const std::vector<const types::Operation*>& executable) {
   if (stopped_) return;
   const TimePoint at = now();
   last_activity_ = at;
@@ -273,7 +279,11 @@ void ReplicaHost::deliver(const types::Block& block,
 
   // Execute: application cost per op, one store write for the block.
   spend(Cost::kExecuteOps, executable.size());
-  spend(Cost::kStorageWrite, types::ops_wire_size(executable) + 160);
+  std::size_t op_bytes = 0;
+  for (const types::Operation* op : executable) {
+    op_bytes += types::op_wire_size(*op);
+  }
+  spend(Cost::kStorageWrite, op_bytes + 160);
 
   // Persist a compact block record.
   char key[32];
@@ -298,8 +308,8 @@ void ReplicaHost::deliver(const types::Block& block,
   // Reply to clients: one batched message per client, padded so wire bytes
   // equal |requests| × reply_size.
   std::map<ClientId, std::vector<RequestId>> by_client;
-  for (const types::Operation& op : executable) {
-    by_client[op.client].push_back(op.request);
+  for (const types::Operation* op : executable) {
+    by_client[op->client].push_back(op->request);
   }
   const types::Hash256 block_hash = block.hash();
   for (auto& [client, requests] : by_client) {
@@ -315,8 +325,8 @@ void ReplicaHost::deliver(const types::Block& block,
       reply.padding.assign(target - body_overhead, 0xcd);
     }
     reply.requests = std::move(requests);
-    Payload wire(
-        types::make_envelope(MsgKind::kClientReply, reply).serialize());
+    Payload wire =
+        types::make_envelope(MsgKind::kClientReply, reply).serialize();
     spend(Cost::kSerializeBytes, wire.size());
     trace({.type = obs::EventType::kMsgSent,
            .kind = static_cast<std::uint8_t>(MsgKind::kClientReply),

@@ -99,8 +99,9 @@ class ReplicaHost : public consensus::ProtocolEnv {
   // -- ProtocolEnv -----------------------------------------------------------
   void send(ReplicaId to, const types::Envelope& env) override;
   void broadcast(const types::Envelope& env) override;
-  void deliver(const types::Block& block,
-               const std::vector<types::Operation>& executable) override;
+  void deliver(
+      const types::Block& block,
+      const std::vector<const types::Operation*>& executable) override;
   void entered_view(ViewNumber v) override;
   void progressed() override;
   void persist_state(const consensus::PersistentState& state) override;
@@ -136,6 +137,8 @@ class ReplicaHost : public consensus::ProtocolEnv {
 
   /// True when open() restored a state persisted by an earlier incarnation.
   bool recovered() const { return recovered_; }
+  /// Committed height the last open() restored (0 on a fresh start).
+  Height restored_height() const { return restored_height_; }
   /// True after the store failed under the host (open or pstate write):
   /// the replica is dead and sends nothing.
   bool stopped() const { return stopped_; }
@@ -180,10 +183,8 @@ class ReplicaHost : public consensus::ProtocolEnv {
   Status recovery_failed(Status s);
   /// Fail-stop after a failed state write.
   void stop();
-  /// Serializes (or reuses `pre`, env's serialization), counts, traces and
-  /// transmits one replica frame.
-  void send_wire(ReplicaId to, const types::Envelope& env,
-                 const Payload* pre = nullptr);
+  /// Counts, traces and transmits one replica frame (env's own buffer).
+  void send_wire(ReplicaId to, const types::Envelope& env);
   std::uint32_t count_authenticators(const types::Envelope& env) const;
 
   /// Records into the sink with this replica's node id stamped.

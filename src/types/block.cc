@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <unordered_map>
 
 namespace marlin::types {
@@ -21,9 +22,14 @@ namespace {
 // whole encodings, so a prefix collision costs a memcmp, never a wrong
 // digest.
 constexpr std::size_t kKeyPrefix = 256;
-// Bounds on what one thread retains: the memo clears past either.
+// Bounds on what one thread retains. Past either, the oldest entries are
+// evicted one at a time, so the next encoding (usually the same size) can
+// reuse the freed buffer; clearing the memo wholesale freed a burst of
+// block-sized buffers at once and fragmented the heap. Hits come from the
+// same proposal decoded by co-hosted replicas (or, on metal, the leader's
+// loopback self-delivery) within a round or two, so a few MiB suffice.
 constexpr std::size_t kMaxEntries = 4096;
-constexpr std::size_t kMaxBytes = 16u << 20;
+constexpr std::size_t kMaxBytes = 4u << 20;
 
 struct EncodingHasher {
   std::size_t operator()(const Bytes& b) const {
@@ -43,19 +49,26 @@ struct EncodingHasher {
 
 Hash256 memoized_digest(Bytes encoding) {
   struct Memo {
-    std::unordered_map<Bytes, Hash256, EncodingHasher> map;
-    std::size_t bytes = 0;  // sum of retained encoding sizes
+    using Map = std::unordered_map<Bytes, Hash256, EncodingHasher>;
+    // Sized so the map never rehashes below kMaxEntries: the FIFO's
+    // iterators stay valid.
+    Memo() { map.reserve(kMaxEntries); }
+    Map map;
+    std::deque<Map::iterator> fifo;  // insertion order, oldest first
+    std::size_t bytes = 0;           // sum of retained encoding sizes
   };
   thread_local Memo memo;
   auto it = memo.map.find(encoding);
   if (it != memo.map.end()) return it->second;
   const Hash256 d = crypto::Sha256::digest(encoding);
-  if (memo.map.size() >= kMaxEntries || memo.bytes >= kMaxBytes) {
-    memo.map.clear();
-    memo.bytes = 0;
+  while (!memo.fifo.empty() && (memo.map.size() >= kMaxEntries ||
+                                memo.bytes + encoding.size() > kMaxBytes)) {
+    memo.bytes -= memo.fifo.front()->first.size();
+    memo.map.erase(memo.fifo.front());
+    memo.fifo.pop_front();
   }
   memo.bytes += encoding.size();
-  memo.map.emplace(std::move(encoding), d);
+  memo.fifo.push_back(memo.map.emplace(std::move(encoding), d).first);
   return d;
 }
 
@@ -77,14 +90,15 @@ Result<Operation> Operation::decode(Reader& r) {
 
 std::size_t ops_wire_size(const std::vector<Operation>& ops) {
   std::size_t total = 0;
-  for (const Operation& op : ops) total += 4 + 8 + 2 + op.payload.size();
+  for (const Operation& op : ops) total += op_wire_size(op);
   return total;
 }
 
 Hash256 Block::hash() const {
   if (!hash_memo_.value) {
-    Writer w(128 + ops_wire_size(ops));
-    w.str("marlin.block");
+    constexpr std::string_view kTag = "marlin.block";
+    Writer w(varint_size(kTag.size()) + kTag.size() + encoded_size());
+    w.str(kTag);
     encode(w);
     hash_memo_.value = memoized_digest(std::move(w).take());
   }
@@ -100,6 +114,15 @@ void Block::encode(Writer& w) const {
   w.varint(ops.size());
   for (const Operation& op : ops) op.encode(w);
   justify.encode(w);
+}
+
+std::size_t Block::encoded_size() const {
+  // parent link, parent view, view, height, virtual flag.
+  std::size_t n = crypto::kHashSize + 8 + 8 + 8 + 1 + varint_size(ops.size());
+  for (const Operation& op : ops) {
+    n += 4 + 8 + varint_size(op.payload.size()) + op.payload.size();
+  }
+  return n + justify.encoded_size();
 }
 
 Result<Block> Block::decode(Reader& r) {

@@ -54,6 +54,9 @@ struct Block {
   bool is_genesis() const { return view == 0 && height == 0; }
 
   void encode(Writer& w) const;
+  /// Exact number of bytes encode() appends (hash() reserves its buffer
+  /// from it, so hashing a block never grows and copies the encoding).
+  std::size_t encoded_size() const;
   static Result<Block> decode(Reader& r);
   bool operator==(const Block& o) const {
     return parent_link == o.parent_link && parent_view == o.parent_view &&
@@ -82,6 +85,11 @@ struct Block {
   };
   HashMemo hash_memo_;
 };
+
+/// Payload bytes of one op (bandwidth accounting).
+inline std::size_t op_wire_size(const Operation& op) {
+  return 4 + 8 + 2 + op.payload.size();
+}
 
 /// Total payload bytes across ops (bandwidth accounting).
 std::size_t ops_wire_size(const std::vector<Operation>& ops);

@@ -10,7 +10,7 @@ BlockStore::BlockStore() {
   blocks_.emplace(genesis_hash_, std::move(genesis));
 }
 
-void BlockStore::insert(Block block) {
+const Block& BlockStore::insert(Block block) {
   // A block whose justify carries a (qc, vc) pair certifies its parent as a
   // virtual block whose own parent is block(vc). The live protocol registers
   // that mapping when it validates the pair, but a block arriving via state
@@ -23,7 +23,7 @@ void BlockStore::insert(Block block) {
   if (j.qc && j.vc && !virtual_parents_.count(j.qc->block_hash)) {
     virtual_parents_.emplace(j.qc->block_hash, j.vc->block_hash);
   }
-  blocks_.emplace(block.hash(), std::move(block));
+  return blocks_.emplace(block.hash(), std::move(block)).first->second;
 }
 
 bool BlockStore::contains(const Hash256& hash) const {

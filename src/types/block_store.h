@@ -20,9 +20,12 @@ class BlockStore {
 
   const Hash256& genesis_hash() const { return genesis_hash_; }
 
-  /// Inserts a block (idempotent). Orphans are allowed — consensus can
-  /// validate proposals from QC metadata alone and fetch bodies later.
-  void insert(Block block);
+  /// Inserts a block (idempotent) and returns the stored body. Orphans are
+  /// allowed — consensus can validate proposals from QC metadata alone and
+  /// fetch bodies later. Pass an owned block by move: a move keeps its
+  /// memoized identity, while a copy (Block's memo resets on copy) costs a
+  /// full re-encode and digest lookup.
+  const Block& insert(Block block);
 
   bool contains(const Hash256& hash) const;
   /// nullptr when unknown.

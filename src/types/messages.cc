@@ -278,25 +278,14 @@ Result<TimeoutNoticeMsg> TimeoutNoticeMsg::decode(Reader& r) {
   return m;
 }
 
-Bytes Envelope::serialize() const {
-  Bytes out;
-  out.reserve(1 + body.size());
-  out.push_back(static_cast<std::uint8_t>(kind));
-  append(out, body);
-  return out;
-}
-
-Result<Envelope> Envelope::parse(BytesView wire) {
-  if (wire.empty()) return error(ErrorCode::kCorruption, "empty envelope");
-  const std::uint8_t kind = wire[0];
+Result<Envelope> Envelope::parse(Payload frame) {
+  if (frame.empty()) return error(ErrorCode::kCorruption, "empty envelope");
+  const std::uint8_t kind = frame[0];
   if (kind < static_cast<std::uint8_t>(MsgKind::kClientRequest) ||
       kind > static_cast<std::uint8_t>(MsgKind::kTimeoutNotice)) {
     return error(ErrorCode::kCorruption, "bad message kind");
   }
-  Envelope env;
-  env.kind = static_cast<MsgKind>(kind);
-  env.body.assign(wire.begin() + 1, wire.end());
-  return env;
+  return Envelope(static_cast<MsgKind>(kind), std::move(frame));
 }
 
 }  // namespace marlin::types

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/payload.h"
 #include "types/block_store.h"
 
 namespace marlin::types {
@@ -185,26 +186,44 @@ struct TimeoutNoticeMsg {
   static Result<TimeoutNoticeMsg> decode(Reader& r);
 };
 
-/// Top-level frame: [u8 kind][body].
-struct Envelope {
-  MsgKind kind;
-  Bytes body;
+/// Top-level frame: [u8 kind][body], held whole as one shared Payload.
+/// make_envelope encodes the kind byte and the body into a single buffer,
+/// parse() wraps a received frame without copying it, and serialize()
+/// hands that same buffer back (a refcount bump). A frame therefore
+/// crosses sender host, transport, receiver host and protocol with no byte
+/// copies; the only copies left are the ones decoding makes.
+class Envelope {
+ public:
+  MsgKind kind() const { return kind_; }
+  /// The message body: a view into the frame, valid while the envelope (or
+  /// any Payload sharing its frame) lives.
+  BytesView body() const { return frame_.view().subspan(1); }
+  /// The wire frame; shares this envelope's buffer.
+  Payload serialize() const { return frame_; }
+  static Result<Envelope> parse(Payload frame);
 
-  Bytes serialize() const;
-  static Result<Envelope> parse(BytesView wire);
+ private:
+  template <typename M>
+  friend Envelope make_envelope(MsgKind kind, const M& msg);
+  Envelope(MsgKind kind, Payload frame)
+      : kind_(kind), frame_(std::move(frame)) {}
+
+  MsgKind kind_;
+  Payload frame_;
 };
 
 /// Helpers to build/open envelopes for any message type above.
 template <typename M>
 Envelope make_envelope(MsgKind kind, const M& msg) {
   Writer w;
+  w.u8(static_cast<std::uint8_t>(kind));
   msg.encode(w);
-  return Envelope{kind, std::move(w).take()};
+  return Envelope(kind, Payload(std::move(w).take()));
 }
 
 template <typename M>
 Result<M> open_envelope(const Envelope& env) {
-  return decode_from_bytes<M>(env.body);
+  return decode_from_bytes<M>(env.body());
 }
 
 }  // namespace marlin::types

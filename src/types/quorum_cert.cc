@@ -59,6 +59,16 @@ void QuorumCert::encode(Writer& w) const {
   w.bytes(threshold_sig);
 }
 
+std::size_t QuorumCert::encoded_size() const {
+  // type, view, block hash, block view, height, pview, virtual flag.
+  std::size_t n = 1 + 8 + crypto::kHashSize + 8 + 8 + 8 + 1;
+  n += varint_size(sigs.parts.size());
+  for (const crypto::PartialSig& p : sigs.parts) {
+    n += 4 + varint_size(p.sig.size()) + p.sig.size();
+  }
+  return n + varint_size(threshold_sig.size()) + threshold_sig.size();
+}
+
 Result<QuorumCert> QuorumCert::decode(Reader& r) {
   QuorumCert qc;
   std::uint8_t type = 0;
@@ -126,6 +136,10 @@ void Justify::encode(Writer& w) const {
   w.u8(tag);
   if (qc) qc->encode(w);
   if (vc) vc->encode(w);
+}
+
+std::size_t Justify::encoded_size() const {
+  return 1 + (qc ? qc->encoded_size() : 0) + (vc ? vc->encoded_size() : 0);
 }
 
 Result<Justify> Justify::decode(Reader& r) {

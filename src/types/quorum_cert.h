@@ -63,6 +63,8 @@ struct QuorumCert {
   bool is_genesis() const { return view == 0; }
 
   void encode(Writer& w) const;
+  /// Exact number of bytes encode() appends.
+  std::size_t encoded_size() const;
   static Result<QuorumCert> decode(Reader& r);
   bool operator==(const QuorumCert&) const = default;
 
@@ -105,6 +107,8 @@ struct Justify {
   bool has_vc() const { return vc.has_value(); }
 
   void encode(Writer& w) const;
+  /// Exact number of bytes encode() appends.
+  std::size_t encoded_size() const;
   static Result<Justify> decode(Reader& r);
   bool operator==(const Justify&) const = default;
 };

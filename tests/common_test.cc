@@ -282,6 +282,34 @@ TEST(Rng, BytesLengthAndDeterminism) {
   EXPECT_EQ(a.next_bytes(7), b.next_bytes(7));
 }
 
+// next_bytes' definition, one byte per shift: each draw contributes its 8
+// bytes least-significant first.
+Bytes byte_loop_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  std::size_t i = 0;
+  while (i < n) {
+    const std::uint64_t r = rng.next_u64();
+    for (int b = 0; b < 8 && i < n; ++b, ++i) {
+      out[i] = static_cast<std::uint8_t>(r >> (8 * b));
+    }
+  }
+  return out;
+}
+
+TEST(Rng, BytesMatchTheByteLoopReference) {
+  std::vector<std::size_t> lengths = {4096, 4099};
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (std::uint64_t seed : {1ull, 11ull, 23ull, 0x9e3779b97f4a7c15ull}) {
+    Rng fast(seed), reference(seed);
+    for (std::size_t n : lengths) {
+      ASSERT_EQ(fast.next_bytes(n), byte_loop_bytes(reference, n))
+          << "seed " << seed << " length " << n;
+    }
+    // Both consumed the same number of draws.
+    EXPECT_EQ(fast.next_u64(), reference.next_u64());
+  }
+}
+
 TEST(Rng, ForkIndependentStreams) {
   Rng parent(31);
   Rng child = parent.fork();

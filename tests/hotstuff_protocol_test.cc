@@ -95,7 +95,7 @@ TEST(HotStuffNormal, MarlinUsesOneFewerVoteRound) {
     ProtocolHarness h(kind);
     std::size_t votes_from_3 = 0;
     h.set_drop([&](const BusMessage& m) {
-      if (m.envelope.kind == MsgKind::kVote && m.from == 3) ++votes_from_3;
+      if (m.envelope.kind() == MsgKind::kVote && m.from == 3) ++votes_from_3;
       return false;
     });
     h.start_all();
@@ -158,7 +158,7 @@ TEST(HotStuffNormal, NonLeaderProposalIgnored) {
   msg.entries.push_back({b, b.justify});
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   h.post(2, 0, types::make_envelope(MsgKind::kProposal, msg));
@@ -184,7 +184,7 @@ TEST(HotStuffNormal, VoteOncePerHeight) {
   msg.entries.push_back({fork, fork.justify});
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   h.post(1, 0, types::make_envelope(MsgKind::kProposal, msg));
@@ -214,7 +214,7 @@ TEST(HotStuffNormal, SafeNodeRejectsConflictWithLock) {
 
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   // Give replicas the parent body first so the extends() check can run.
@@ -409,7 +409,7 @@ class HotStuffAdversarial : public ::testing::Test {
     tip_ = *h_->replica(0).store().get(h_->replica(0).committed_hash());
     votes_ = 0;
     h_->set_drop([this](const BusMessage& m) {
-      if (m.envelope.kind == types::MsgKind::kVote) ++votes_;
+      if (m.envelope.kind() == types::MsgKind::kVote) ++votes_;
       return false;
     });
   }

@@ -168,7 +168,7 @@ TEST(MarlinNormal, ProposalFromNonLeaderIgnored) {
 
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   for (ReplicaId r = 0; r < h.n(); ++r) {
@@ -199,7 +199,7 @@ TEST(MarlinNormal, ProposalWithInvalidQcIgnored) {
 
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   h.post(1, 0, types::make_envelope(MsgKind::kProposal, msg));
@@ -221,7 +221,7 @@ TEST(MarlinNormal, StaleViewMessagesIgnored) {
   types::QcNoticeMsg notice{Phase::kCommit, 1, qc, {}};
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   h.post(1, 0, types::make_envelope(MsgKind::kQcNotice, notice));
@@ -275,7 +275,7 @@ TEST(MarlinNormal, ForkingSecondProposalSameHeightRejected) {
   msg.entries.push_back({fork, fork.justify});
   std::size_t votes = 0;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote) ++votes;
+    if (m.envelope.kind() == MsgKind::kVote) ++votes;
     return false;
   });
   h.post(1, 0, types::make_envelope(MsgKind::kProposal, msg));
@@ -481,7 +481,7 @@ TEST(MarlinViewChange, V1VirtualBlockWinsAndCommitsHiddenBlock) {
     }
     if (stage == 2) {
       // Unsafe snapshot: drop replica 0's VIEW-CHANGE to the new leader.
-      if (m.envelope.kind == MsgKind::kViewChange && m.from == 0) return true;
+      if (m.envelope.kind() == MsgKind::kViewChange && m.from == 0) return true;
       // Force the virtual path: drop replica 3's pre-prepare vote for the
       // normal (non-virtual) block.
       if (auto v = peek<types::VoteMsg>(m, MsgKind::kVote)) {
@@ -710,7 +710,7 @@ TEST(MarlinViewChange, R1RejectedWhenJustifyBelowLock) {
 
   bool voted = false;
   h.set_drop([&](const BusMessage& m) {
-    if (m.envelope.kind == MsgKind::kVote && m.from == 0) voted = true;
+    if (m.envelope.kind() == MsgKind::kVote && m.from == 0) voted = true;
     return false;
   });
   for (ReplicaId s : {1u, 2u}) {
@@ -927,7 +927,7 @@ class MarlinAdversarial : public ::testing::Test {
 
     votes_ = 0;
     h_->set_drop([this](const BusMessage& m) {
-      if (m.envelope.kind == types::MsgKind::kVote) ++votes_;
+      if (m.envelope.kind() == types::MsgKind::kVote) ++votes_;
       return false;
     });
   }

@@ -40,11 +40,13 @@ class BusEnv final : public ProtocolEnv {
 
   void send(ReplicaId to, const types::Envelope& env) override;
   void broadcast(const types::Envelope& env) override;
-  void deliver(const types::Block& block,
-               const std::vector<types::Operation>& executable) override {
+  void deliver(
+      const types::Block& block,
+      const std::vector<const types::Operation*>& executable) override {
     // Record the block with its *executed* ops (exactly-once view).
     types::Block copy = block;
-    copy.ops = executable;
+    copy.ops.clear();
+    for (const types::Operation* op : executable) copy.ops.push_back(*op);
     delivered.push_back(std::move(copy));
   }
   void entered_view(ViewNumber v) override { views_entered.push_back(v); }
@@ -180,7 +182,7 @@ class ProtocolHarness {
     // advanced" immediately — the semantics these unit tests drive —
     // instead of letting still-queued old-view messages commit first.
     for (std::size_t i = 0; i < queue_.size();) {
-      if (queue_[i].envelope.kind == MsgKind::kTimeoutNotice) {
+      if (queue_[i].envelope.kind() == MsgKind::kTimeoutNotice) {
         BusMessage m = std::move(queue_[i]);
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
         if (!m.bypass) {
@@ -245,7 +247,7 @@ inline types::Operation op_of(ClientId c, RequestId r, std::size_t size = 16) {
 /// Decodes a bus message body if it matches the kind; nullopt otherwise.
 template <typename M>
 std::optional<M> peek(const BusMessage& m, types::MsgKind kind) {
-  if (m.envelope.kind != kind) return std::nullopt;
+  if (m.envelope.kind() != kind) return std::nullopt;
   auto r = types::open_envelope<M>(m.envelope);
   if (!r.is_ok()) return std::nullopt;
   return std::move(r).take();

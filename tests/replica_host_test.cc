@@ -2,7 +2,9 @@
 // backend: n hosts over a FIFO bus, the simulator only as a clock that is
 // never run (so no timer fires). A store that fails under the host must
 // leave the replica dead and silent — never voting from state it could not
-// read or write.
+// read or write. The same bus pins the zero-copy frame path: a broadcast
+// shares one buffer, and ingress (replica and client) decodes straight out
+// of the received frame.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/alloc_hook.h"
+#include "runtime/client_process.h"
 #include "runtime/replica_host.h"
 #include "simnet/simulator.h"
 #include "storage/env.h"
@@ -135,12 +139,11 @@ ReplicaHostConfig host_config(ReplicaId id) {
 Payload client_request(RequestId id) {
   types::ClientRequestMsg msg;
   msg.ops.push_back(types::Operation{0, id, to_bytes("op")});
-  return Payload(
-      types::make_envelope(types::MsgKind::kClientRequest, msg).serialize());
+  return types::make_envelope(types::MsgKind::kClientRequest, msg).serialize();
 }
 
 types::MsgKind kind_of(const Payload& wire) {
-  return types::Envelope::parse(wire.view()).value().kind;
+  return types::Envelope::parse(wire).value().kind();
 }
 
 class ReplicaHostStorage : public ::testing::Test {
@@ -239,6 +242,97 @@ TEST_F(ReplicaHostStorage, NoVoteFollowsAFailedStateWrite) {
   EXPECT_GT(votes_before, 0u);
   // The other three still form quorums and keep committing.
   EXPECT_GT(replicas_[0]->protocol().committed_height(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy frames
+// ---------------------------------------------------------------------------
+
+using ReplicaHostFrames = ReplicaHostStorage;
+
+TEST_F(ReplicaHostFrames, BroadcastSharesOneFrame) {
+  for (ReplicaId r = 0; r < kN; ++r) add_replica(storage::make_mem_env());
+  for (auto& r : replicas_) r->start();
+  pump();
+  for (ReplicaId r = 0; r < kN; ++r) {
+    replicas_[r]->handle_message(kN, client_request(1));
+  }
+  // The leader's proposal sits on the bus once per destination (its own
+  // loopback included), every copy the one buffer the envelope encoded.
+  std::vector<Payload> proposals;
+  for (const Frame& f : bus_) {
+    if (kind_of(f.wire) == types::MsgKind::kProposal) {
+      proposals.push_back(f.wire);
+    }
+  }
+  ASSERT_EQ(proposals.size(), kN);
+  for (const Payload& p : proposals) {
+    EXPECT_TRUE(p.shares_buffer(proposals.front()));
+  }
+  // Bus copies plus the local vector's copies: nothing else holds it.
+  EXPECT_EQ(proposals.front().use_count(), static_cast<long>(2 * kN));
+  pump();
+  EXPECT_GE(replicas_[0]->protocol().committed_height(), 1u);
+}
+
+TEST_F(ReplicaHostFrames, IngressDecodesOutOfTheFrame) {
+  for (ReplicaId r = 0; r < kN; ++r) add_replica(storage::make_mem_env());
+  // One 64 KiB op: decoding copies it once into the pool. Copying the
+  // frame's body before decoding (as the envelope once did) would double
+  // what the handler allocates.
+  types::ClientRequestMsg msg;
+  msg.ops.push_back(types::Operation{0, 1, Bytes(64u << 10, 0x5a)});
+  const Payload frame =
+      types::make_envelope(types::MsgKind::kClientRequest, msg).serialize();
+  alloc_hook::reset();
+  replicas_[1]->handle_message(kN, frame);
+  const std::uint64_t allocated = alloc_hook::bytes();
+  EXPECT_GE(allocated, frame.size() - 64);
+  EXPECT_LT(allocated, frame.size() * 3 / 2);
+  EXPECT_EQ(replicas_[1]->protocol().pool().pending(), 1u);
+}
+
+/// A closed-loop client on the same bus: transmits are dropped, replies
+/// are handed in by the test.
+class BusClient final : public ClientProcess {
+ public:
+  BusClient(sim::Simulator& clock, ClientProcessConfig config)
+      : ClientProcess(config, Rng(7)), clock_(clock) {}
+
+ protected:
+  TimePoint now() const override { return clock_.now(); }
+  marlin::Scheduler& timers() override { return clock_; }
+  void transmit(std::uint32_t, Payload) override {}
+
+ private:
+  sim::Simulator& clock_;
+};
+
+TEST_F(ReplicaHostFrames, ClientDecodesRepliesOutOfTheFrame) {
+  ClientProcessConfig cc;
+  cc.quorum = QuorumParams::for_f(kF);
+  cc.window = 1;
+  BusClient client(clock_, cc);
+  client.start();
+  // A reply padded to 64 KiB: decoding copies the padding once.
+  types::ClientReplyMsg reply;
+  reply.client = 0;
+  reply.view = 1;
+  reply.height = 1;
+  reply.requests = {1};
+  reply.result = Bytes(8, 0xab);
+  reply.padding = Bytes(64u << 10, 0xcd);
+  for (ReplicaId r = 0; r < cc.quorum.reply_quorum(); ++r) {
+    reply.replica = r;
+    const Payload frame =
+        types::make_envelope(types::MsgKind::kClientReply, reply).serialize();
+    alloc_hook::reset();
+    client.handle_message(r, frame);
+    const std::uint64_t allocated = alloc_hook::bytes();
+    EXPECT_GE(allocated, reply.padding.size());
+    EXPECT_LT(allocated, frame.size() * 3 / 2) << "reply from " << r;
+  }
+  EXPECT_EQ(client.completed().total(), 1u);
 }
 
 }  // namespace

@@ -147,8 +147,7 @@ TEST(ClientQuorum, ForgedRepliesFromOneNodeLeaveTheRequestPending) {
     m.height = 1;
     m.result = Bytes(8, 0xab);
     m.requests = {1};
-    return Payload(
-        types::make_envelope(types::MsgKind::kClientReply, m).serialize());
+    return types::make_envelope(types::MsgKind::kClientReply, m).serialize();
   };
   // Replica 3 answers under every replica id.
   for (ReplicaId claimed = 0; claimed < cluster.n(); ++claimed) {

@@ -111,7 +111,7 @@ TEST(Block, MemoKeepsBlocksApartWhenOnlyLaterBytesDiffer) {
 
 TEST(Block, MemoStaysCorrectPastItsByteBound) {
   // 96 distinct 256 KiB blocks on one thread: 24 MiB of encodings, past
-  // the memo's 16 MiB bound, so it clears at least once mid-run.
+  // the memo's byte bound, so it evicts mid-run.
   std::vector<Block> blocks;
   std::vector<Hash256> first;
   for (std::uint64_t i = 0; i < 96; ++i) {
@@ -123,6 +123,37 @@ TEST(Block, MemoStaysCorrectPastItsByteBound) {
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const Block copy = blocks[i];
     ASSERT_EQ(copy.hash(), first[i]) << i;
+  }
+}
+
+TEST(Block, EncodedSizeIsExact) {
+  // hash() reserves the tag plus encoded_size(): when that is exact, the
+  // hash input is written into one buffer that never grows (a grown
+  // buffer reallocates and copies the whole encoding).
+  QuorumCert signed_qc = make_qc(QcType::kPrepare, 3, 8);
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    signed_qc.sigs.parts.push_back(
+        {r, Bytes(crypto::kSignatureSize, static_cast<std::uint8_t>(r))});
+  }
+  Block with_qc = make_block(4, 9, crypto::Sha256::digest(to_bytes("p")), 3,
+                             {make_op(1, 1, 4096), make_op(2, 7, 50)});
+  with_qc.justify.qc = signed_qc;
+  // A (qc, vc) justify, a threshold-form QC and a payload whose length
+  // needs a three-byte varint.
+  Block with_pair = make_block(5, 10, Hash256{}, 4, {make_op(3, 1, 20000)});
+  with_pair.justify.qc = make_qc(QcType::kPrePrepare, 4, 9, {}, 4, 3, true);
+  with_pair.justify.vc = signed_qc;
+  with_pair.justify.vc->threshold_sig = Bytes(48, 0x7a);
+  for (const Block* b : {&with_qc, &with_pair}) {
+    constexpr std::string_view kTag = "marlin.block";
+    const std::size_t exact = 1 + kTag.size() + b->encoded_size();
+    Writer w(exact);
+    const std::uint8_t* buffer = w.buffer().data();
+    w.str(kTag);
+    b->encode(w);
+    EXPECT_EQ(w.size(), exact);
+    EXPECT_EQ(w.buffer().data(), buffer) << "the hash buffer reallocated";
+    EXPECT_EQ(b->hash(), unmemoized_hash(*b));
   }
 }
 
@@ -447,6 +478,27 @@ TEST_F(BlockStoreTest, ReleaseOps) {
   EXPECT_TRUE(store_.extends(a, store_.genesis_hash()));
 }
 
+TEST_F(BlockStoreTest, StoredProposalKeepsItsIdentity) {
+  Block proposal = make_block(1, 1, store_.genesis_hash(), 0,
+                              {make_op(1, 1, 4096)});
+  const Hash256 h = proposal.hash();
+  // Copy-then-mutate derives a new block: the copy must not inherit h.
+  Block sibling = proposal;
+  sibling.ops[0].payload[0] ^= 0x01;
+  EXPECT_NE(sibling.hash(), h);
+
+  // A moved-in block keeps its memoized identity, and insert returns the
+  // stored body.
+  const Block& stored = store_.insert(std::move(proposal));
+  EXPECT_EQ(store_.get(h), &stored);
+  EXPECT_EQ(stored.hash(), h);
+  // Releasing the body does not move its identity: the store answers from
+  // the memo the move carried, not from a re-encode of the emptied block.
+  store_.release_ops(h);
+  EXPECT_EQ(store_.get(h)->hash(), h);
+  EXPECT_TRUE(store_.contains(store_.insert(std::move(sibling)).hash()));
+}
+
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -457,7 +509,7 @@ TEST(Messages, ClientRequestRoundTrip) {
   auto env = make_envelope(MsgKind::kClientRequest, m);
   auto parsed = Envelope::parse(env.serialize());
   ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed.value().kind, MsgKind::kClientRequest);
+  EXPECT_EQ(parsed.value().kind(), MsgKind::kClientRequest);
   auto back = open_envelope<ClientRequestMsg>(parsed.value());
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().ops, m.ops);
@@ -591,6 +643,27 @@ TEST(Messages, TimeoutNoticeRoundTrip) {
   EXPECT_EQ(opened.value().view, 42u);
 }
 
+TEST(Messages, EnvelopeSharesItsFrame) {
+  ClientRequestMsg req;
+  req.ops = {make_op(1, 1, 4096)};
+  const Envelope sent = make_envelope(MsgKind::kClientRequest, req);
+  const Payload frame = sent.serialize();
+  // Serializing hands out the envelope's own buffer: [kind][body].
+  EXPECT_TRUE(frame.shares_buffer(sent.serialize()));
+  EXPECT_EQ(frame[0], static_cast<std::uint8_t>(MsgKind::kClientRequest));
+  EXPECT_EQ(frame.size(), 1 + encode_to_bytes(req).size());
+
+  // Parsing wraps the received frame: the body is a view into it.
+  auto parsed = Envelope::parse(frame);
+  ASSERT_TRUE(parsed.is_ok());
+  EXPECT_TRUE(parsed.value().serialize().shares_buffer(frame));
+  EXPECT_EQ(parsed.value().body().data(), frame.data() + 1);
+  EXPECT_EQ(frame.use_count(), 3);  // frame, sent, parsed
+  auto back = open_envelope<ClientRequestMsg>(parsed.value());
+  ASSERT_TRUE(back.is_ok());
+  EXPECT_EQ(back.value().ops, req.ops);
+}
+
 TEST(Messages, EnvelopeRejectsGarbage) {
   EXPECT_FALSE(Envelope::parse(Bytes{}).is_ok());
   EXPECT_FALSE(Envelope::parse(Bytes{0x00}).is_ok());
@@ -625,14 +698,16 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
   {
     ClientRequestMsg req;
     req.ops = {make_op(1, 1, 150), make_op(2, 9, 10)};
-    corpus.push_back(make_envelope(MsgKind::kClientRequest, req).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kClientRequest, req).serialize().bytes());
 
     ClientReplyMsg rep;
     rep.client = 3;
     rep.requests = {1, 2, 3};
     rep.result = to_bytes("12345678");
     rep.padding = Bytes(64, 0xcd);
-    corpus.push_back(make_envelope(MsgKind::kClientReply, rep).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kClientReply, rep).serialize().bytes());
 
     ProposalMsg prop;
     prop.phase = Phase::kPrePrepare;
@@ -647,19 +722,22 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
     e2.block.parent_link = Hash256{};
     e2.justify = e1.justify;
     prop.entries = {e1, e2};
-    corpus.push_back(make_envelope(MsgKind::kProposal, prop).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kProposal, prop).serialize().bytes());
 
     VoteMsg vote;
     vote.phase = Phase::kPrepare;
     vote.view = 4;
     vote.parsig = {1, Bytes(crypto::kSignatureSize, 0x33)};
     vote.locked_qc = make_qc(QcType::kPrepare, 3, 2);
-    corpus.push_back(make_envelope(MsgKind::kVote, vote).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kVote, vote).serialize().bytes());
 
     QcNoticeMsg notice;
     notice.qc = make_qc(QcType::kPrePrepare, 4, 5, {}, 4, 3, true);
     notice.aux = make_qc(QcType::kPrepare, 3, 4);
-    corpus.push_back(make_envelope(MsgKind::kQcNotice, notice).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kQcNotice, notice).serialize().bytes());
 
     ViewChangeMsg vc;
     vc.view = 5;
@@ -667,13 +745,14 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
                              false};
     vc.high_qc.qc = make_qc(QcType::kPrepare, 4, 6);
     vc.parsig = {2, Bytes(crypto::kSignatureSize, 0x44)};
-    corpus.push_back(make_envelope(MsgKind::kViewChange, vc).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kViewChange, vc).serialize().bytes());
   }
 
   auto try_decode = [](const Bytes& wire) {
     auto env = Envelope::parse(wire);
     if (!env.is_ok()) return;
-    switch (env.value().kind) {
+    switch (env.value().kind()) {
       case MsgKind::kClientRequest:
         (void)open_envelope<ClientRequestMsg>(env.value());
         break;

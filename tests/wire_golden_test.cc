@@ -116,7 +116,7 @@ TEST(WireGolden, QuorumCertEncodingRoundTripsByteExact) {
 
 TEST(WireGolden, EnvelopeKindByteLeads) {
   types::FetchRequestMsg req{Hash256{}, 0};
-  const Bytes wire =
+  const Payload wire =
       types::make_envelope(types::MsgKind::kFetchRequest, req).serialize();
   EXPECT_EQ(wire[0], static_cast<std::uint8_t>(types::MsgKind::kFetchRequest));
 }
@@ -191,7 +191,7 @@ TEST(VoteStuffing, ForgedVotesCannotFormQc) {
     if (auto n = peek<types::QcNoticeMsg>(m, types::MsgKind::kQcNotice)) {
       if (n->phase == types::Phase::kCommit) ++notices;
     }
-    if (m.envelope.kind == types::MsgKind::kVote && m.from != 0) return true;
+    if (m.envelope.kind() == types::MsgKind::kVote && m.from != 0) return true;
     return false;
   });
   h.start_all();
@@ -221,18 +221,14 @@ TEST(VoteStuffing, ForgedVotesCannotFormQc) {
 TEST(VoteStuffing, ReplayedVoteCountsOnce) {
   using namespace consensus::testing;
   ProtocolHarness h(Kind::kMarlin);
-  types::Envelope replay{types::MsgKind::kClientRequest, {}};
-  bool captured = false;
+  std::optional<types::Envelope> replay;
   std::size_t notices = 0;
   h.set_drop([&](const BusMessage& m) {
     if (auto n = peek<types::QcNoticeMsg>(m, types::MsgKind::kQcNotice)) {
       if (n->phase == types::Phase::kCommit) ++notices;
     }
-    if (m.envelope.kind == types::MsgKind::kVote) {
-      if (m.from == 0 && !captured) {
-        replay = m.envelope;
-        captured = true;
-      }
+    if (m.envelope.kind() == types::MsgKind::kVote) {
+      if (m.from == 0 && !replay) replay = m.envelope;
       // Let only replica 0's and the leader's own votes through: 2 < 3.
       return m.from != 0 && m.from != 1;
     }
@@ -241,10 +237,10 @@ TEST(VoteStuffing, ReplayedVoteCountsOnce) {
   h.start_all();
   h.submit_to_all(op_of(1, 1));
   h.deliver_all();
-  ASSERT_TRUE(captured);
+  ASSERT_TRUE(replay.has_value());
   ASSERT_EQ(notices, 0u);
   // Replaying replica 0's vote five times adds no new signer.
-  for (int i = 0; i < 5; ++i) h.post_bypassing(0, 1, replay);
+  for (int i = 0; i < 5; ++i) h.post_bypassing(0, 1, *replay);
   h.deliver_all();
   EXPECT_EQ(notices, 0u);
   EXPECT_TRUE(h.all_consistent());
