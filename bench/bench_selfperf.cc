@@ -23,11 +23,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_host.h"
 #include "common/alloc_hook.h"
+#include "obs/export.h"
 #include "runtime/cluster.h"
 #include "simnet/simulator.h"
 
@@ -211,11 +211,8 @@ struct Baseline {
 
 Baseline load_baseline(const std::string& path) {
   Baseline b;
-  std::ifstream in(path);
-  if (!in) return b;
-  std::ostringstream body;
-  body << in.rdbuf();
-  const std::string json = body.str();
+  std::string json;
+  if (!obs::read_text_file(path, &json)) return b;
   b.loaded = find_number(json, "engine_wall_ns", &b.engine_wall_ns) &&
              find_number(json, "engine_events", &b.engine_events) &&
              find_number(json, "workload_wall_ns", &b.workload_wall_ns) &&

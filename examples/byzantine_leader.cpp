@@ -6,7 +6,7 @@
 //
 // The faults are declared up front as a FaultPlan (faults/fault_plan.h)
 // and executed by the cluster's FaultController; the same scenario can be
-// replayed from JSON via `marlin_sim --faults <plan.json>`.
+// replayed from JSON via `marlin_run --backend=sim --faults <plan.json>`.
 //
 //   ./build/examples/byzantine_leader
 #include <cstdio>

@@ -327,4 +327,13 @@ bool write_text_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(f.flush());
 }
 
+bool read_text_file(const std::string& path, std::string* out) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return false;
+  std::ostringstream body;
+  body << f.rdbuf();
+  *out = body.str();
+  return true;
+}
+
 }  // namespace marlin::obs

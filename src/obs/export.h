@@ -49,5 +49,7 @@ void print_view_timeline(const std::vector<TraceEvent>& events,
 /// Writes `content` to `path`; returns false (and leaves a best-effort
 /// partial file) on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);
+/// Reads all of `path` into `out`; false when it cannot be opened.
+bool read_text_file(const std::string& path, std::string* out);
 
 }  // namespace marlin::obs

@@ -35,7 +35,7 @@ void net_stats_to_metrics(const net::NodeNetStats& stats, MetricsRegistry& reg,
 ///    "latency_ms":{name:{count,mean,p50,p95,p99,max}},
 ///    "sizes":{name:{count,mean,p50,p99,max}}}
 /// Keys are MetricKey::to_string() ("name" or "name{label}"). The schema
-/// is backend-agnostic: marlin_sim and marlin_run emit identical shapes.
+/// is backend-agnostic: marlin_run emits identical shapes on both backends.
 std::string metrics_series_line(double t_seconds, const MetricsRegistry& reg);
 
 }  // namespace marlin::obs

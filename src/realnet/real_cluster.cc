@@ -18,6 +18,9 @@ namespace marlin::realnet {
 
 namespace {
 
+/// Patience for egress drain during stop().
+constexpr Duration kDrainTimeout = Duration::seconds(2);
+
 /// The metal backend of the shared closed-loop client: the node's
 /// TcpTransport, its timer wheel and the monotonic clock.
 class RealClient final : public runtime::ClientProcess {
@@ -48,6 +51,7 @@ RealCluster::RealCluster(runtime::ClusterConfig config,
   const std::uint32_t total = n() + config_.clients.count;
   nodes_.resize(total);
   endpoints_.resize(total);
+  replica_hosts_.assign(n(), nullptr);
 
   // Phase 1: bind every listener on the construction thread so the full
   // endpoint table exists before any node (or its peers) can dial.
@@ -100,7 +104,7 @@ Status RealCluster::build_node(std::uint32_t id) {
   Node& node = nodes_[id];
   node.loop = std::make_unique<EventLoop>();
   node.transport =
-      std::make_unique<TcpTransport>(*node.loop, id, options_.transport);
+      std::make_unique<TcpTransport>(*node.loop, id, TransportConfig{});
   node.transport->adopt_listener(node.pending_listen_fd);
   node.pending_listen_fd = -1;
   for (std::uint32_t peer = 0; peer < endpoints_.size(); ++peer) {
@@ -129,6 +133,7 @@ Status RealCluster::build_node(std::uint32_t id) {
     }
     node.replica = std::make_unique<RealReplica>(
         *node.loop, *node.transport, *node.suite, rc, std::move(env));
+    replica_hosts_[id] = node.replica.get();
     if (!node.replica->ok().is_ok()) return node.replica->ok();
     RealReplica* host = node.replica.get();
     node.transport->set_handler([host](std::uint32_t from, Payload p) {
@@ -164,6 +169,7 @@ Status RealCluster::build_node(std::uint32_t id) {
     Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + id);
     node.client = std::make_unique<RealClient>(*node.loop, *node.transport,
                                                cc, std::move(rng));
+    client_hosts_.push_back(node.client.get());
     runtime::ClientProcess* host = node.client.get();
     node.transport->set_handler([host](std::uint32_t from, Payload p) {
       host->handle_message(from, std::move(p));
@@ -205,8 +211,8 @@ void RealCluster::begin_stop(std::uint32_t id, bool drain) {
   // loop thread until empty (or patience runs out), then close everything
   // and stop the loop. The polling closure reschedules itself, so it must
   // live on the heap until the final round.
-  const TimePoint deadline = mono_now() + (drain ? options_.drain_timeout
-                                                 : Duration::zero());
+  const TimePoint deadline =
+      mono_now() + (drain ? kDrainTimeout : Duration::zero());
   // The closure holds only a weak self-reference; each rescheduled task
   // carries the strong one. A strong capture here would be a
   // shared_ptr cycle (the function owning itself) and leak every stop.
@@ -270,6 +276,7 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
   // Tear down the dead incarnation (its data dir survives), rebind the
   // same port, rebuild, rejoin. Peers redial lazily via backoff.
   node.telemetry.reset();  // before the loop it registered with
+  replica_hosts_[i] = nullptr;
   node.replica.reset();
   node.transport.reset();
   node.loop.reset();
@@ -287,75 +294,6 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
 
 const net::NodeNetStats& RealCluster::node_stats(std::uint32_t id) const {
   return nodes_[id].transport->stats();
-}
-
-void RealCluster::set_measurement_window(TimePoint start, TimePoint end) {
-  for (auto& node : nodes_) {
-    if (node.client) node.client->completed().set_window(start, end);
-    if (node.replica) node.replica->committed_ops().set_window(start, end);
-  }
-}
-
-double RealCluster::client_throughput() const {
-  double total = 0;
-  for (const auto& node : nodes_) {
-    if (node.client) total += node.client->completed().rate_per_second();
-  }
-  return total;
-}
-
-double RealCluster::latency_ms(double percentile) const {
-  LatencyHistogram merged;
-  for (const auto& node : nodes_) {
-    if (node.client) merged.merge_from(node.client->latency());
-  }
-  return merged.percentile(percentile).as_millis_f();
-}
-
-double RealCluster::mean_latency_ms() const {
-  LatencyHistogram merged;
-  for (const auto& node : nodes_) {
-    if (node.client) merged.merge_from(node.client->latency());
-  }
-  return merged.mean().as_millis_f();
-}
-
-std::uint64_t RealCluster::total_completed() const {
-  std::uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    if (node.client) total += node.client->completed().total();
-  }
-  return total;
-}
-
-bool RealCluster::any_safety_violation() const {
-  for (std::uint32_t i = 0; i < n(); ++i) {
-    if (!nodes_[i].replica) continue;
-    if (nodes_[i].replica->protocol().safety_violated()) return true;
-  }
-  return false;
-}
-
-bool RealCluster::committed_heights_consistent() const {
-  // A stopped (or killed-and-joined) replica's final state is still
-  // readable through its host object; no liveness filter here.
-  std::vector<const consensus::ReplicaBase*> replicas;
-  for (std::uint32_t i = 0; i < n(); ++i) {
-    if (nodes_[i].replica) replicas.push_back(&nodes_[i].replica->protocol());
-  }
-  return runtime::prefixes_consistent(replicas);
-}
-
-Height RealCluster::min_committed_height() const {
-  Height min = 0;
-  bool first = true;
-  for (std::uint32_t i = 0; i < n(); ++i) {
-    if (!nodes_[i].replica) continue;
-    const Height h = nodes_[i].replica->protocol().committed_height();
-    min = first ? h : std::min(min, h);
-    first = false;
-  }
-  return min;
 }
 
 obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
@@ -435,6 +373,14 @@ obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
     }
   }
   return out;
+}
+
+std::uint64_t RealCluster::trace_evicted() const {
+  std::uint64_t evicted = 0;
+  for (const auto& node : nodes_) {
+    if (node.trace) evicted += node.trace->evicted();
+  }
+  return evicted;
 }
 
 std::vector<obs::TraceEvent> RealCluster::merged_trace_events() const {

@@ -8,7 +8,9 @@
 // Construction happens entirely on the calling thread: every node's
 // listener is pre-bound (ephemeral ports) so the full endpoint table
 // exists before any node thread spawns. start() launches the threads;
-// stop() drains egress queues, stops the loops, and joins. Metrology
+// stop() drains egress queues, stops the loops, and joins. The client and
+// safety metrology is runtime::ClusterMetrology's, shared with the
+// simulator's Cluster; it reads a killed replica's final state. Metrology
 // accessors are safe only while the cluster is stopped (construction→start
 // or after stop()) — node state belongs to node threads in between.
 #pragma once
@@ -35,9 +37,6 @@ struct RealClusterOptions {
   /// Per-node event tracing into private sinks (merged_trace_events()).
   bool trace = false;
   std::size_t trace_capacity = obs::TraceSink::kDefaultCapacity;
-  TransportConfig transport;
-  /// Patience for egress drain during stop().
-  Duration drain_timeout = Duration::seconds(2);
   /// Serve live GET /metrics, /status, /healthz per replica (127.0.0.1,
   /// on the replica's own loop thread — no extra threads).
   bool telemetry = false;
@@ -46,7 +45,7 @@ struct RealClusterOptions {
   std::uint16_t telemetry_base_port = 0;
 };
 
-class RealCluster {
+class RealCluster : public runtime::ClusterMetrology {
  public:
   explicit RealCluster(runtime::ClusterConfig config,
                        RealClusterOptions options = {});
@@ -89,28 +88,15 @@ class RealCluster {
   /// Node id's transport (drain/shutdown assertions) — safe after stop().
   TcpTransport& transport(std::uint32_t id) { return *nodes_[id].transport; }
 
-  /// Sets the throughput measurement window on every counter; call before
-  /// start() (times on the mono_now() axis).
-  void set_measurement_window(TimePoint start, TimePoint end);
-  double client_throughput() const;
-  double latency_ms(double percentile) const;
-  double mean_latency_ms() const;
-  std::uint64_t total_completed() const;
-  bool any_safety_violation() const;
-  bool committed_heights_consistent() const;
-  Height min_committed_height() const;
-
   /// All nodes' trace events merged and time-sorted.
   ///
   /// Contract: tracing is opt-in at construction. When options.trace is
   /// false no sink exists anywhere, and this returns an EMPTY vector — it
-  /// cannot distinguish "tracing off" from "nothing happened". Callers that
-  /// need events must check tracing() first (marlin_run warns on
-  /// --trace-out without it).
+  /// cannot distinguish "tracing off" from "nothing happened" (marlin_run
+  /// turns tracing on whenever a trace output is requested).
   std::vector<obs::TraceEvent> merged_trace_events() const;
-  /// True when the cluster was built with options.trace (sinks exist and
-  /// merged_trace_events() is meaningful).
-  bool tracing() const { return options_.trace; }
+  /// Events the nodes' trace rings evicted (lost from the merge).
+  std::uint64_t trace_evicted() const;
 
   // -- live telemetry --------------------------------------------------------
   /// Replica i's telemetry port (0 when options.telemetry is off). Valid

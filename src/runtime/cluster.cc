@@ -1,5 +1,6 @@
 #include "runtime/cluster.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -51,12 +52,67 @@ Duration client_start_delay(ClientId c) {
          Duration::millis(41) * static_cast<std::int64_t>(c);
 }
 
-bool prefixes_consistent(
-    const std::vector<const consensus::ReplicaBase*>& replicas) {
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
-      const auto& a = *replicas[i];
-      const auto& b = *replicas[j];
+void merge_replica_metrics(obs::MetricsRegistry& out,
+                           const obs::MetricsRegistry& replica, ReplicaId id) {
+  out.merge_from(replica);
+  const std::string label = "replica=" + std::to_string(id);
+  for (const auto& [key, value] : replica.gauges()) {
+    out.gauge(key.name, label) = value;
+  }
+}
+
+void ClusterMetrology::set_measurement_window(TimePoint start,
+                                              TimePoint end) {
+  for (ClientProcess* c : client_hosts_) c->completed().set_window(start, end);
+  for (ReplicaHost* r : replica_hosts_) {
+    if (r != nullptr) r->committed_ops().set_window(start, end);
+  }
+}
+
+double ClusterMetrology::client_throughput() const {
+  double total = 0;
+  for (ClientProcess* c : client_hosts_) {
+    total += c->completed().rate_per_second();
+  }
+  return total;
+}
+
+LatencyHistogram ClusterMetrology::pooled_latency() const {
+  LatencyHistogram merged;
+  for (ClientProcess* c : client_hosts_) merged.merge_from(c->latency());
+  return merged;
+}
+
+double ClusterMetrology::latency_ms(double percentile) const {
+  return pooled_latency().percentile(percentile).as_millis_f();
+}
+
+double ClusterMetrology::mean_latency_ms() const {
+  return pooled_latency().mean().as_millis_f();
+}
+
+std::uint64_t ClusterMetrology::total_completed() const {
+  std::uint64_t total = 0;
+  for (ClientProcess* c : client_hosts_) total += c->completed().in_window();
+  return total;
+}
+
+bool ClusterMetrology::any_safety_violation() const {
+  for (const ReplicaHost* r : replica_hosts_) {
+    if (r != nullptr && r->protocol().safety_violated()) return true;
+  }
+  return false;
+}
+
+bool ClusterMetrology::committed_heights_consistent() const {
+  std::vector<const consensus::ReplicaBase*> live;
+  for (ReplicaId i = 0; i < replica_hosts_.size(); ++i) {
+    if (counted(i)) live.push_back(&replica_hosts_[i]->protocol());
+  }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::size_t j = i + 1; j < live.size(); ++j) {
+      const auto& a = *live[i];
+      const auto& b = *live[j];
       const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
       const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
       if (lo.committed_height() == 0) continue;
@@ -68,13 +124,16 @@ bool prefixes_consistent(
   return true;
 }
 
-void merge_replica_metrics(obs::MetricsRegistry& out,
-                           const obs::MetricsRegistry& replica, ReplicaId id) {
-  out.merge_from(replica);
-  const std::string label = "replica=" + std::to_string(id);
-  for (const auto& [key, value] : replica.gauges()) {
-    out.gauge(key.name, label) = value;
+Height ClusterMetrology::min_committed_height() const {
+  Height min = 0;
+  bool first = true;
+  for (ReplicaId i = 0; i < replica_hosts_.size(); ++i) {
+    if (!counted(i)) continue;
+    const Height h = replica_hosts_[i]->protocol().committed_height();
+    min = first ? h : std::min(min, h);
+    first = false;
   }
+  return min;
 }
 
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
@@ -149,6 +208,7 @@ void Cluster::build(const EngineBinding& engine) {
         config_.storage_costs));
     replicas_.back()->set_count_authenticators(config_.count_authenticators);
     replicas_.back()->attach();
+    replica_hosts_.push_back(replicas_.back().get());
     if (engine.node_trace) net_->set_node_trace(r, engine.node_trace(r));
   }
 
@@ -159,6 +219,7 @@ void Cluster::build(const EngineBinding& engine) {
     clients_.push_back(std::make_unique<SimClient>(
         *sched_of_(node), *net_, cc, engine.setup_rng->fork()));
     clients_.back()->attach();
+    client_hosts_.push_back(clients_.back().get());
     if (engine.node_trace) net_->set_node_trace(node, engine.node_trace(node));
   }
 
@@ -203,40 +264,10 @@ ReplicaId Cluster::current_leader() const {
 
 ViewNumber Cluster::max_view() const {
   ViewNumber v = 0;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (net_->is_down(static_cast<sim::NodeId>(i))) continue;
-    v = std::max(v, replicas_[i]->current_view());
+  for (ReplicaId i = 0; i < replicas_.size(); ++i) {
+    if (counted(i)) v = std::max(v, replicas_[i]->current_view());
   }
   return v;
-}
-
-void Cluster::set_measurement_window(TimePoint start, TimePoint end) {
-  for (auto& c : clients_) c->completed().set_window(start, end);
-  for (auto& r : replicas_) r->committed_ops().set_window(start, end);
-}
-
-double Cluster::client_throughput() const {
-  double total = 0;
-  for (const auto& c : clients_) total += c->completed().rate_per_second();
-  return total;
-}
-
-double Cluster::latency_ms(double percentile) const {
-  LatencyHistogram merged;
-  for (const auto& c : clients_) merged.merge_from(c->latency());
-  return merged.percentile(percentile).as_millis_f();
-}
-
-double Cluster::mean_latency_ms() const {
-  LatencyHistogram merged;
-  for (const auto& c : clients_) merged.merge_from(c->latency());
-  return merged.mean().as_millis_f();
-}
-
-std::uint64_t Cluster::total_completed() const {
-  std::uint64_t total = 0;
-  for (const auto& c : clients_) total += c->completed().in_window();
-  return total;
 }
 
 void Cluster::export_metrics(obs::MetricsRegistry& out) const {
@@ -250,23 +281,6 @@ void Cluster::export_metrics(obs::MetricsRegistry& out) const {
     out.latency("client.latency").merge_from(c->latency());
   }
   net_->export_metrics(out);
-}
-
-bool Cluster::any_safety_violation() const {
-  for (const auto& r : replicas_) {
-    if (r->protocol().safety_violated()) return true;
-  }
-  return false;
-}
-
-bool Cluster::committed_heights_consistent() const {
-  std::vector<const consensus::ReplicaBase*> live;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (!net_->is_down(static_cast<sim::NodeId>(i))) {
-      live.push_back(&replicas_[i]->protocol());
-    }
-  }
-  return prefixes_consistent(live);
 }
 
 }  // namespace marlin::runtime

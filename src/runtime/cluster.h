@@ -77,17 +77,54 @@ std::unique_ptr<crypto::SignatureSuite> make_suite(
 /// synchronized closed-loop clients otherwise refill in lockstep
 /// "generations" that quantize throughput measurements.
 Duration client_start_delay(ClientId c);
-/// Every pair of `replicas` agrees on committed prefixes: the lower
-/// committed hash lies on the higher replica's chain.
-bool prefixes_consistent(
-    const std::vector<const consensus::ReplicaBase*>& replicas);
 /// Adds one replica's registry to a cluster-wide one: counters add and
 /// histograms pool; gauges, meaningless summed, are also re-exported under
 /// "replica=<id>".
 void merge_replica_metrics(obs::MetricsRegistry& out,
                            const obs::MetricsRegistry& replica, ReplicaId id);
 
-class Cluster {
+/// Client and safety metrology, written once for both backends' clusters
+/// over the ReplicaHost and ClientProcess objects they hold. A backend
+/// fills the two host tables and says which replicas count: the simulator
+/// skips network-down replicas, metal reads a killed replica's final
+/// state. On metal, call only while the cluster is stopped.
+class ClusterMetrology {
+ public:
+  /// Sets the throughput window on every client and replica counter.
+  void set_measurement_window(TimePoint start, TimePoint end);
+  /// Completed (f+1-acked) operations per second across all clients.
+  double client_throughput() const;
+  /// Aggregated client latency percentile (ms).
+  double latency_ms(double percentile) const;
+  double mean_latency_ms() const;
+  /// Client operations completed inside the measurement window.
+  std::uint64_t total_completed() const;
+  /// Any replica, counted or not, detected a safety violation.
+  bool any_safety_violation() const;
+  /// All counted replicas agree on committed prefixes: the lower committed
+  /// hash lies on the higher replica's chain.
+  bool committed_heights_consistent() const;
+  /// Lowest committed height among counted replicas (0 when none).
+  Height min_committed_height() const;
+
+  /// Replica i's host; null on metal while it has none (a failed build).
+  const ReplicaHost* replica_host(ReplicaId i) const {
+    return replica_hosts_[i];
+  }
+  /// Whether replica i enters the cross-replica checks.
+  virtual bool counted(ReplicaId i) const {
+    return replica_hosts_[i] != nullptr;
+  }
+
+ protected:
+  ~ClusterMetrology() = default;
+  LatencyHistogram pooled_latency() const;
+
+  std::vector<ReplicaHost*> replica_hosts_;  // by replica id
+  std::vector<ClientProcess*> client_hosts_;  // by client id
+};
+
+class Cluster : public ClusterMetrology {
  public:
   /// How a cluster binds to an event engine. The composition root (the
   /// ctor taking a concrete engine) fills this in; everything downstream —
@@ -156,22 +193,14 @@ class Cluster {
   ReplicaId current_leader() const;
   ViewNumber max_view() const;
 
-  // -- metrology -------------------------------------------------------------
-  void set_measurement_window(TimePoint start, TimePoint end);
-  /// Completed (f+1-acked) operations per second across all clients.
-  double client_throughput() const;
-  /// Aggregated client latency percentile (ms).
-  double latency_ms(double percentile) const;
-  double mean_latency_ms() const;
-  std::uint64_t total_completed() const;
-  bool any_safety_violation() const;
+  /// A crashed (network-down) replica is left out of the metrology.
+  bool counted(ReplicaId i) const override {
+    return !net_->is_down(static_cast<sim::NodeId>(i));
+  }
   /// Cluster-wide metrics snapshot: per-replica registries merged
   /// additively (gauges re-labeled "replica=N"), aggregate client latency
   /// ("client.latency"), and per-node / per-kind network traffic.
   void export_metrics(obs::MetricsRegistry& out) const;
-  /// All correct replicas agree on committed prefixes (checked via the
-  /// committed hash of the lowest common height — cheap invariant probe).
-  bool committed_heights_consistent() const;
 
  private:
   void build(const EngineBinding& engine);

@@ -515,6 +515,32 @@ TEST(RealCluster, CommitsClientOpsOverTcpHotStuff) {
   expect_commits_client_ops_over_tcp(runtime::ProtocolKind::kHotStuff);
 }
 
+// total_completed() counts the measurement window on metal as on the
+// simulator: the clients' summed in_window(), without warm-up or drain.
+TEST(RealCluster, TotalCompletedCountsTheMeasurementWindow) {
+  RealCluster cluster(quick_cluster_config(1));
+  ASSERT_TRUE(cluster.ok().is_ok());
+  const TimePoint t0 = mono_now();
+  cluster.set_measurement_window(t0 + Duration::millis(300),
+                                 t0 + Duration::millis(900));
+  cluster.start();
+  ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
+    return mono_now() > t0 + Duration::millis(1200) &&
+           live_completed(cluster) > 100;
+  }));
+  cluster.stop();
+
+  std::uint64_t in_window = 0;
+  std::uint64_t total = 0;
+  for (ClientId c = 0; c < cluster.client_count(); ++c) {
+    in_window += cluster.client(c).completed().in_window();
+    total += cluster.client(c).completed().total();
+  }
+  EXPECT_GT(in_window, 0u);
+  EXPECT_EQ(cluster.total_completed(), in_window);
+  EXPECT_LT(cluster.total_completed(), total);
+}
+
 TEST(RealCluster, CleanShutdownDrainsEgress) {
   RealCluster cluster(quick_cluster_config(1));
   ASSERT_TRUE(cluster.ok().is_ok());

@@ -242,6 +242,30 @@ TEST(CostAccounting, HigherCryptoCostsLowerThroughput) {
   EXPECT_GT(cheap, pricey * 1.1);
 }
 
+// total_completed() is the clients' summed in-window count: the ops
+// completed before the window opens or after it closes are left out.
+TEST(Metrology, TotalCompletedCountsTheMeasurementWindow) {
+  ClusterConfig cfg;
+  cfg.f = 1;
+  cfg.clients.count = 4;
+  sim::Simulator sim(cfg.seed);
+  Cluster cluster(sim, cfg);
+  cluster.set_measurement_window(TimePoint::origin() + Duration::seconds(2),
+                                 TimePoint::origin() + Duration::seconds(4));
+  cluster.start();
+  sim.run_until(TimePoint::origin() + Duration::seconds(5));
+
+  std::uint64_t in_window = 0;
+  std::uint64_t total = 0;
+  for (ClientId c = 0; c < cluster.client_count(); ++c) {
+    in_window += cluster.client(c).completed().in_window();
+    total += cluster.client(c).completed().total();
+  }
+  EXPECT_GT(in_window, 0u);
+  EXPECT_EQ(cluster.total_completed(), in_window);
+  EXPECT_LT(cluster.total_completed(), total);
+}
+
 TEST(CostAccounting, StorageCheckpointChargesTime) {
   ClusterConfig cfg;
   cfg.f = 1;

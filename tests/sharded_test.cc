@@ -3,10 +3,11 @@
 // on shards, and the two invariance guarantees the engine makes —
 // identical results across shard counts K and across worker counts.
 //
-// (The --shards 1 path of marlin_sim maps to the legacy single-queue
-// sim::Simulator, whose byte-identical golden traces are pinned by
-// trace_golden_test; the sharded schedule is a *different* deterministic
-// order, so its contract is K/worker invariance, not legacy identity.)
+// (The --shards 1 path of marlin_run --backend=sim maps to the legacy
+// single-queue sim::Simulator, whose byte-identical golden traces are
+// pinned by trace_golden_test; the sharded schedule is a *different*
+// deterministic order, so its contract is K/worker invariance, not legacy
+// identity.)
 #include <gtest/gtest.h>
 
 #include <tuple>

@@ -14,16 +14,15 @@
 //                --plan-out plan17.json --trace-out run17.trace.jsonl
 //
 // re-runs schedule 17 bit-identically and dumps its plan + golden trace.
-// A dumped plan replays through `marlin_sim --faults plan17.json` or via
-// --replay ... --plan plan17.json (which proves the artifact, not the
-// generator, drives the run).
+// A dumped plan replays through `marlin_run --backend=sim --faults
+// plan17.json` or via --replay ... --plan plan17.json (which proves the
+// artifact, not the generator, drives the run).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -312,15 +311,13 @@ int main(int argc, char** argv) {
     const auto index = static_cast<std::uint32_t>(opt.replay);
     faults::FaultPlan plan;
     if (!opt.plan_in.empty()) {
-      std::ifstream in(opt.plan_in);
-      if (!in) {
+      std::string body;
+      if (!obs::read_text_file(opt.plan_in, &body)) {
         std::fprintf(stderr, "cannot read fault plan %s\n",
                      opt.plan_in.c_str());
         return 2;
       }
-      std::ostringstream body;
-      body << in.rdbuf();
-      auto parsed = faults::FaultPlan::from_json(body.str());
+      auto parsed = faults::FaultPlan::from_json(body);
       if (!parsed.is_ok()) {
         std::fprintf(stderr, "bad fault plan %s: %s\n", opt.plan_in.c_str(),
                      parsed.status().message().c_str());

@@ -1,5 +1,5 @@
-// Shared argv parsing for the command-line tools (marlin_sim, marlin_run,
-// chaos_search, marlin_top). One cursor walks the argument list; typed
+// Shared argv parsing for the command-line tools (marlin_run, chaos_search,
+// marlin_top). One cursor walks the argument list; typed
 // matchers consume "--name=value" or "--name value" forms and emit uniform
 // diagnostics — a malformed number is an error with the offending flag and
 // text, never a silent atoi(0) — so every tool rejects bad input the same

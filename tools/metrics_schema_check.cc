@@ -2,11 +2,11 @@
 // output formats, used by CI to pin what scrapers and dashboards consume:
 //
 //   metrics_schema_check FILE            Prometheus text exposition
-//                                        (GET /metrics, --metrics-prom-out)
+//                                        (GET /metrics, --metrics-out=*.prom)
 //   metrics_schema_check --status FILE   /status JSON document
 //   metrics_schema_check --series FILE   JSONL metric series
-//                                        (--metrics-series-out, both
-//                                        marlin_sim and marlin_run)
+//                                        (marlin_run --metrics-series-out,
+//                                        both backends)
 //
 // Prints one "ok: ..." line and exits 0 on success; prints a pinned
 // "invalid ..." diagnostic and exits 1 on a malformed document (exit 2 for
@@ -15,25 +15,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "common/json.h"
+#include "obs/export.h"
 
 using namespace marlin;
 
 namespace {
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream body;
-  body << in.rdbuf();
-  *out = body.str();
-  return true;
-}
 
 bool valid_metric_name(const std::string& s) {
   if (s.empty()) return false;
@@ -234,7 +224,7 @@ int fail_series(std::size_t lineno, const char* why) {
 
 /// Validates a metric-series JSONL file: every line is an object with a
 /// numeric "t" and the four snapshot sections; histogram summaries carry
-/// their full stat set. The schema is shared by marlin_sim and marlin_run.
+/// their full stat set. marlin_run writes it on both backends.
 int check_series(const std::string& body) {
   std::size_t snapshots = 0, lineno = 0;
   std::size_t pos = 0;
@@ -327,7 +317,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::string body;
-  if (!read_file(path, &body)) {
+  if (!obs::read_text_file(path, &body)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 2;
   }

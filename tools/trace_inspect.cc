@@ -1,5 +1,5 @@
 // trace_inspect — offline analyzer for JSONL protocol traces produced by
-// marlin_sim / the benches (obs::trace_to_jsonl format).
+// marlin_run / the benches (obs::trace_to_jsonl format).
 //
 //   trace_inspect trace.jsonl                 # all reports
 //   trace_inspect --report=phases trace.jsonl # per-phase latency only
@@ -10,7 +10,7 @@
 //   phases   — per-block latency from proposal to each QC and to commit
 //   egress   — per-view leader egress: messages, bytes, authenticators
 //   kinds    — per-kind traffic with authenticators/message (Table I check)
-//   timeline — the per-view activity timeline (same as marlin_sim --timeline)
+//   timeline — the per-view activity timeline (same as marlin_run --timeline)
 //
 // Extra outputs:
 //   --critical-path      per-block critical-path report (round-trip count,

@@ -1,14 +1,14 @@
 // trace_schema_check — validates observability artifacts for CI.
 //
 // Default mode checks a Chrome trace-event JSON file (the --spans-out
-// output of marlin_sim / trace_inspect) against the minimal schema
+// output of marlin_run / trace_inspect) against the minimal schema
 // Perfetto needs: the wrapper object, and per event the name/ph/pid/tid
 // fields, a known phase type, and non-negative ts/dur on complete events.
 // The exporter writes one JSON object per line precisely so this checker
 // (and CI) can validate without a full JSON parser.
 //
 // --trace mode checks a protocol event trace (the --trace-out JSONL of
-// marlin_sim / chaos_search): every line must parse back into a TraceEvent
+// marlin_run / chaos_search): every line must parse back into a TraceEvent
 // with a known event type — which is how CI catches an exporter emitting a
 // type (e.g. replica_restart, state_transfer) the taxonomy doesn't name,
 // and monotone non-decreasing sequence numbers.
