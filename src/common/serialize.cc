@@ -137,6 +137,12 @@ Status Reader::raw(std::size_t n, Bytes& out) {
   return Status::ok();
 }
 
+Status Reader::skip(std::size_t n) {
+  if (Status s = need(n); !s.is_ok()) return s;
+  pos_ += n;
+  return Status::ok();
+}
+
 Status Reader::expect_exhausted() const {
   if (!exhausted()) {
     return error(ErrorCode::kCorruption, "trailing bytes after message");

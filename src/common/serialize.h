@@ -66,6 +66,11 @@ class Reader {
   /// Reads exactly `n` raw bytes.
   Status raw(std::size_t n, Bytes& out);
 
+  /// Skips exactly `n` bytes.
+  Status skip(std::size_t n);
+
+  /// Bytes consumed so far: the offset of the next read in the input.
+  std::size_t position() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }
 

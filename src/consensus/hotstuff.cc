@@ -111,19 +111,13 @@ void HotStuffReplica::propose(bool force) {
   env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   const Height proposed_height = b.height;
   const std::size_t proposed_ops = b.ops.size();
-  const Hash256 proposed_hash = b.hash();
 
   types::ProposalMsg msg;
   msg.phase = Phase::kPrepare;
   msg.view = cview_;
   msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
   propose_ready_ = false;
-  // Encode the frame first, then move the block into the store: the block
-  // is hashed once and never copied.
-  const types::Envelope proposal =
-      types::make_envelope(MsgKind::kProposal, msg);
-  store_.insert(std::move(msg.entries[0].block));
-  broadcast(proposal);
+  const Hash256 proposed_hash = broadcast_proposal(msg)[0];
   if (proposed_ops > 0) {
     trace({.type = obs::EventType::kBatchDequeued,
            .height = proposed_height,
@@ -153,7 +147,7 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
     enter_view(msg.view, /*send_new_view=*/false);
   }
 
-  const Block& b = msg.entries[0].block;
+  const Block& b = msg.entries[0].proposed();
   const QuorumCert& qc = *j.qc;
   if (b.view != cview_ || b.virtual_block) return;
   if (b.parent_link != qc.block_hash || b.height != qc.height + 1 ||
@@ -183,9 +177,9 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 
   env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   const Hash256 h = b.hash();
-  // The message owns the block: move it (and its memoized identity) into
+  // The message owns the block: move it (and its pinned identity) into
   // the store. `stored` replaces `b` from here on.
-  const Block& stored = store_.insert(std::move(msg.entries[0].block));
+  const Block& stored = store_proposed(msg.entries[0]);
   trace({.type = obs::EventType::kProposalReceived,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
          .height = stored.height,

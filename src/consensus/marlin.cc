@@ -163,19 +163,13 @@ void MarlinReplica::propose_normal(bool force) {
   env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
   const Height proposed_height = b.height;
   const std::size_t proposed_ops = b.ops.size();
-  const Hash256 proposed_hash = b.hash();
 
   types::ProposalMsg msg;
   msg.phase = Phase::kPrepare;
   msg.view = cview_;
   msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
   propose_ready_ = false;
-  // Encode the frame first, then move the block into the store: the block
-  // is hashed once and never copied.
-  const types::Envelope proposal =
-      types::make_envelope(MsgKind::kProposal, msg);
-  store_.insert(std::move(msg.entries[0].block));
-  broadcast(proposal);
+  const Hash256 proposed_hash = broadcast_proposal(msg)[0];
   if (proposed_ops > 0) {
     trace({.type = obs::EventType::kBatchDequeued,
            .height = proposed_height,
@@ -218,7 +212,7 @@ void MarlinReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 void MarlinReplica::handle_prepare_proposal(ReplicaId from,
                                             types::ProposalMsg msg) {
   if (msg.entries.size() != 1) return;
-  const Block& b = msg.entries[0].block;
+  const Block& b = msg.entries[0].proposed();
   const Justify& j = msg.entries[0].justify;
 
   // Case N1: justify is a prepareQC formed in this view (genesis allowed
@@ -239,9 +233,9 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   const Hash256 h = b.hash();
   if (!block_ref_rank_greater(b.view, b.height, b.justify)) return;
 
-  // The message owns the block: move it (and its memoized identity) into
+  // The message owns the block: move it (and its pinned identity) into
   // the store. `stored` replaces `b` from here on.
-  const Block& stored = store_.insert(std::move(msg.entries[0].block));
+  const Block& stored = store_proposed(msg.entries[0]);
   trace({.type = obs::EventType::kProposalReceived,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
          .height = stored.height,
@@ -663,7 +657,6 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
     b.ops = batch;
     b.justify = j;
     env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
-    st.proposed.emplace_back(b.hash(), false);
     msg.entries.push_back(types::ProposalEntry{std::move(b), j});
   };
 
@@ -684,7 +677,6 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
       b2.ops = batch;
       b2.justify = *candidates[0];
       env_.charge(Cost::kHashBytes, 128);  // ops already hashed for b1
-      st.proposed.emplace_back(b2.hash(), true);
       msg.entries.push_back(
           types::ProposalEntry{std::move(b2), *candidates[0]});
     }
@@ -695,12 +687,9 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
     for (const Justify* j : candidates) add_child(*j);
   }
 
-  // Encode the frame first, then move the blocks into the store: each is
-  // hashed once and never copied.
-  const types::Envelope proposal =
-      types::make_envelope(MsgKind::kProposal, msg);
-  for (types::ProposalEntry& e : msg.entries) store_.insert(std::move(e.block));
-  broadcast(proposal);
+  for (const Hash256& h : broadcast_proposal(msg)) {
+    st.proposed.emplace_back(h, store_.get(h)->virtual_block);
+  }
   trace({.type = obs::EventType::kProposalSent,
          .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
          .a = batch.size(),
@@ -712,7 +701,7 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
   if (msg.entries.empty() || msg.entries.size() > 2) return;
 
   for (types::ProposalEntry& entry : msg.entries) {
-    const Block& b = entry.block;
+    const Block& b = entry.proposed();
     const Justify& j = entry.justify;
     if (!j.qc) continue;
     const QuorumCert& qc = *j.qc;
@@ -757,7 +746,7 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
     env_.charge(Cost::kHashBytes, types::ops_wire_size(b.ops) + 128);
     const Hash256 h = b.hash();
     // The message owns the block: move it into the store.
-    const Block& stored = store_.insert(std::move(entry.block));
+    const Block& stored = store_proposed(entry);
     trace({.type = obs::EventType::kProposalReceived,
            .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
            .height = stored.height,

@@ -4,6 +4,8 @@
 #include <bit>
 #include <functional>
 
+#include "consensus/block_frames.h"
+
 namespace marlin::consensus {
 
 std::optional<crypto::SigGroup> VoteCollector::add(
@@ -88,7 +90,13 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
       return;
     }
     case MsgKind::kProposal: {
-      auto msg = types::open_envelope<types::ProposalMsg>(envelope);
+      if (from == config_.id) {
+        if (auto own = own_proposal(envelope)) {
+          on_proposal(from, std::move(*own));
+          return;
+        }
+      }
+      auto msg = open_framed<types::ProposalMsg>(envelope);
       if (msg.is_ok()) on_proposal(from, std::move(msg).take());
       return;
     }
@@ -113,7 +121,7 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
       return;
     }
     case MsgKind::kFetchResponse: {
-      auto msg = types::open_envelope<types::FetchResponseMsg>(envelope);
+      auto msg = open_framed<types::FetchResponseMsg>(envelope);
       if (msg.is_ok()) on_fetch_response(from, std::move(msg).take());
       return;
     }
@@ -123,7 +131,7 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
       return;
     }
     case MsgKind::kSnapshotResponse: {
-      auto msg = types::open_envelope<types::SnapshotResponseMsg>(envelope);
+      auto msg = open_framed<types::SnapshotResponseMsg>(envelope);
       if (msg.is_ok()) on_snapshot_response(from, std::move(msg).take());
       return;
     }
@@ -135,6 +143,47 @@ void ReplicaBase::handle_message(ReplicaId from, const Envelope& envelope) {
     case MsgKind::kClientReply:
       return;  // replicas never receive replies
   }
+}
+
+std::optional<types::ProposalMsg> ReplicaBase::own_proposal(
+    const Envelope& env) const {
+  const std::vector<Payload::Digest>* digests =
+      env.serialize().digests_if_ready();
+  if (!digests || digests->empty()) return std::nullopt;
+  Reader r(env.body());
+  std::uint8_t phase = 0;
+  types::ProposalMsg m;
+  if (!r.u8(phase).is_ok() || !r.u64(m.view).is_ok() ||
+      phase > static_cast<std::uint8_t>(Phase::kDecide)) {
+    return std::nullopt;
+  }
+  m.phase = static_cast<Phase>(phase);
+  for (const Payload::Digest& d : *digests) {
+    const Hash256 h{d};
+    const Block* b = store_.get(h);
+    // A released body no longer is the block: decode the frame instead.
+    if (!b || store_.ops_released(h)) return std::nullopt;
+    types::ProposalEntry e;
+    e.justify = b->justify;
+    e.stored = b;
+    m.entries.push_back(std::move(e));
+  }
+  return m;
+}
+
+std::vector<Hash256> ReplicaBase::broadcast_proposal(types::ProposalMsg& msg) {
+  std::vector<types::BlockSlices> slices;
+  const Envelope frame = frame_proposal(msg, slices);
+  broadcast(frame);
+  std::vector<Block*> blocks;
+  for (types::ProposalEntry& e : msg.entries) blocks.push_back(&e.block);
+  pin_block_digests(frame, slices, blocks);
+  std::vector<Hash256> hashes;
+  for (types::ProposalEntry& e : msg.entries) {
+    hashes.push_back(e.block.hash());
+    store_.insert(std::move(e.block));
+  }
+  return hashes;
 }
 
 void ReplicaBase::on_view_timeout() {

@@ -137,6 +137,11 @@ class ReplicaBase {
   /// the view timer while recovering, instead of churning views).
   void recovery_tick();
 
+  /// Committed bodies stay fetchable until this many payload bytes are
+  /// retained (plus a minimum block count); then the oldest are released.
+  static constexpr std::size_t kRetainBudgetBytes = 64u << 20;
+  static constexpr std::size_t kRetainMinBlocks = 16;
+
   // -- introspection -------------------------------------------------------
   ReplicaId id() const { return config_.id; }
   ViewNumber current_view() const { return cview_; }
@@ -219,6 +224,18 @@ class ReplicaBase {
   void send_to(ReplicaId to, const Envelope& env) { env_.send(to, env); }
   void broadcast(const Envelope& env) { env_.broadcast(env); }
 
+  /// The leader's send: frames `msg` and broadcasts the frame first; only
+  /// then digests each block's slice of it — filling the frame's digest
+  /// slot, which the loopback copy and co-hosted receivers reuse — and
+  /// moves the blocks into the store. Returns their hashes in entry order.
+  std::vector<Hash256> broadcast_proposal(types::ProposalMsg& msg);
+
+  /// Moves a proposal entry's block into the store and returns the stored
+  /// body (a loopback entry's block is there already).
+  const Block& store_proposed(types::ProposalEntry& e) {
+    return e.stored ? *e.stored : store_.insert(std::move(e.block));
+  }
+
   /// Common PersistentState fields (view + commit frontier); protocol
   /// subclasses add their own on top.
   PersistentState base_persistent_state(PersistedProtocol p) const;
@@ -269,6 +286,12 @@ class ReplicaBase {
   ViewNumber recovery_hold_view_ = 0;
 
  private:
+  /// This replica's own proposal frame, back over loopback, rebuilt from
+  /// the store: the frame's digest slot names its blocks, which the
+  /// leader stored when it sent them (their justify is the entries'
+  /// justify — a leader proposes them so). nullopt when the frame is not
+  /// one this replica digested and stored — then it is decoded as usual.
+  std::optional<types::ProposalMsg> own_proposal(const Envelope& env) const;
   void on_fetch_request(ReplicaId from, const types::FetchRequestMsg& msg);
   void on_fetch_response(ReplicaId from, types::FetchResponseMsg msg);
   void on_snapshot_request(ReplicaId from, const types::SnapshotRequestMsg& msg);
@@ -312,10 +335,6 @@ class ReplicaBase {
   /// Oldest body delivered by the in-flight batch (batches stream newest
   /// first) — the resume point for the next request.
   Hash256 last_fetched_;
-  /// Committed bodies stay fetchable until this many payload bytes are
-  /// retained (plus a minimum block count); then the oldest are released.
-  static constexpr std::size_t kRetainBudgetBytes = 64u << 20;
-  static constexpr std::size_t kRetainMinBlocks = 16;
   std::deque<std::pair<Hash256, std::size_t>> recent_committed_;
   std::size_t retained_bytes_ = 0;
 };

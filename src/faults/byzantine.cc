@@ -40,7 +40,9 @@ ByzantineBox::WireEffect ByzantineBox::transform_wire(
           to % 2 == 0) {
         return pass();
       }
-      auto msg = types::open_envelope<types::ProposalMsg>(env);
+      // A plain decode: the box mutates the block, so it must not carry
+      // the frame's pinned digest.
+      auto msg = decode_from_bytes<types::ProposalMsg>(env.body());
       if (!msg.is_ok()) return pass();
       types::ProposalMsg m = std::move(msg).take();
       if (m.entries.size() != 1) return pass();  // leave shadow pairs alone

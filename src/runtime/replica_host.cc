@@ -17,6 +17,43 @@ namespace {
 // Durable consensus state (PersistentState) lives under a fixed key; the
 // write-ahead-voting hook overwrites it in place on every vote/lock change.
 constexpr const char* kPStateKey = "meta/pstate";
+
+/// The message-level justify of each entry of a proposal body, read past
+/// the blocks' op batches without decoding (or copying) them.
+Result<std::vector<types::Justify>> proposal_justifies(BytesView body) {
+  Reader r(body);
+  if (Status s = r.skip(1 + 8); !s.is_ok()) return s;  // phase, view
+  std::uint64_t count = 0;
+  if (Status s = r.varint(count); !s.is_ok()) return s;
+  if (count == 0 || count > 2) {
+    return error(ErrorCode::kCorruption, "bad proposal entry count");
+  }
+  std::vector<types::Justify> out;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    // Shadow flag, then the block header: parent link, parent view, view,
+    // height, virtual flag.
+    if (Status s = r.skip(1 + crypto::kHashSize + 8 + 8 + 8 + 1);
+        !s.is_ok()) {
+      return s;
+    }
+    std::uint64_t ops = 0;
+    if (Status s = r.varint(ops); !s.is_ok()) return s;
+    for (std::uint64_t k = 0; k < ops; ++k) {
+      std::uint64_t len = 0;
+      if (Status s = r.skip(4 + 8); !s.is_ok()) return s;  // client, request
+      if (Status s = r.varint(len); !s.is_ok()) return s;
+      if (Status s = r.skip(len); !s.is_ok()) return s;
+    }
+    // The block's own justify, then the entry's.
+    if (Result<types::Justify> j = types::Justify::decode(r); !j.is_ok()) {
+      return j.status();
+    }
+    Result<types::Justify> j = types::Justify::decode(r);
+    if (!j.is_ok()) return j.status();
+    out.push_back(std::move(j).take());
+  }
+  return out;
+}
 }  // namespace
 
 ReplicaHost::ReplicaHost(const crypto::SignatureSuite& suite,
@@ -188,10 +225,11 @@ std::uint32_t ReplicaHost::count_authenticators(
       return c;
     }
     case MsgKind::kProposal: {
-      auto m = types::open_envelope<types::ProposalMsg>(env);
-      if (!m.is_ok()) return 0;
+      // Certificates only: the blocks' op batches are skipped, not decoded.
+      auto justifies = proposal_justifies(env.body());
+      if (!justifies.is_ok()) return 0;
       std::uint32_t c = 0;
-      for (const auto& e : m.value().entries) c += justify_count(e.justify);
+      for (const types::Justify& j : justifies.value()) c += justify_count(j);
       return c;
     }
     case MsgKind::kQcNotice: {
@@ -220,20 +258,21 @@ void ReplicaHost::send(ReplicaId to, const Envelope& env) {
     // replay), or suppress (silence) the envelope, per destination.
     auto out = byzantine_.transform(env, config_.replica.id, to);
     if (!out) return;
-    send_wire(to, *out);
+    send_wire(to, *out, authenticators_in(*out));
     return;
   }
-  send_wire(to, env);
+  send_wire(to, env, authenticators_in(env));
 }
 
-void ReplicaHost::send_wire(ReplicaId to, const Envelope& env) {
+std::uint32_t ReplicaHost::authenticators_in(const Envelope& env) const {
+  return count_authenticators_ ? count_authenticators(env) : 0;
+}
+
+void ReplicaHost::send_wire(ReplicaId to, const Envelope& env,
+                            std::uint32_t authenticators) {
   Payload wire = env.serialize();
   spend(Cost::kSerializeBytes, wire.size());
-  std::uint32_t authenticators = 0;
-  if (count_authenticators_) {
-    authenticators = count_authenticators(env);
-    traffic_.authenticators_sent += authenticators;
-  }
+  traffic_.authenticators_sent += authenticators;
   // kMsgSent is recorded here, not in the transport, because only the
   // protocol host knows the current view — what per-view leader-egress
   // analysis (trace_inspect) attributes bytes by.
@@ -249,20 +288,22 @@ void ReplicaHost::broadcast(const Envelope& env) {
   if (stopped_) return;
   const std::uint32_t n = config_.replica.quorum.n;
   // The envelope already is the serialized frame: every destination (the
-  // loopback self-send included) shares its refcounted buffer. The
-  // serialize charge and kMsgSent trace stay per destination. A Byzantine
-  // box gets first refusal per destination; only destinations whose frame
-  // it actually tampers with get a private frame (copy-on-write).
+  // loopback self-send included) shares its refcounted buffer, and its
+  // authenticators are counted once. The serialize charge and kMsgSent
+  // trace stay per destination. A Byzantine box gets first refusal per
+  // destination; only destinations whose frame it actually tampers with
+  // get a private frame (copy-on-write), counted on its own.
+  const std::uint32_t authenticators = authenticators_in(env);
   for (ReplicaId r = 0; r < n; ++r) {
     if (byzantine_.active()) {
       auto fx = byzantine_.transform_wire(env, config_.replica.id, r);
       if (!fx.out) continue;  // suppressed for this destination
       if (fx.mutated) {
-        send_wire(r, *fx.out);
+        send_wire(r, *fx.out, authenticators_in(*fx.out));
         continue;
       }
     }
-    send_wire(r, env);
+    send_wire(r, env, authenticators);
   }
 }
 

@@ -122,8 +122,8 @@ class ReplicaHost : public consensus::ProtocolEnv {
   /// recovery counters). The clusters aggregate these.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// Count authenticators per outgoing message (decodes every send; used by
-  /// the Table I bench).
+  /// Count authenticators per outgoing message (reads the certificates of
+  /// every send, once per broadcast; used by the Table I bench).
   void set_count_authenticators(bool on) { count_authenticators_ = on; }
 
   /// Routes every outgoing envelope through a faults::ByzantineBox from now
@@ -183,8 +183,12 @@ class ReplicaHost : public consensus::ProtocolEnv {
   Status recovery_failed(Status s);
   /// Fail-stop after a failed state write.
   void stop();
-  /// Counts, traces and transmits one replica frame (env's own buffer).
-  void send_wire(ReplicaId to, const types::Envelope& env);
+  /// Counts, traces and transmits one replica frame (env's own buffer)
+  /// carrying `authenticators`.
+  void send_wire(ReplicaId to, const types::Envelope& env,
+                 std::uint32_t authenticators);
+  /// Authenticators in env when counting is on (else 0).
+  std::uint32_t authenticators_in(const types::Envelope& env) const;
   std::uint32_t count_authenticators(const types::Envelope& env) const;
 
   /// Records into the sink with this replica's node id stamped.

@@ -9,7 +9,9 @@
 // the payload once (see messages.h).
 #pragma once
 
+#include <atomic>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -32,6 +34,13 @@ struct Operation {
   bool operator==(const Operation&) const = default;
 };
 
+/// Where a block's canonical encoding lies in the bytes it was coded
+/// from: header, op batch and justify, as [begin, end) offsets. Its digest
+/// hashes the three in order; a shadow block borrows the first entry's ops.
+struct BlockSlices {
+  std::pair<std::size_t, std::size_t> head, ops, justify;
+};
+
 struct Block {
   Hash256 parent_link;    // pl: hash of parent; zero for genesis / virtual
   ViewNumber parent_view = 0;  // pview
@@ -45,19 +54,26 @@ struct Block {
   /// and QCs. Includes every field (the paper's shadow blocks share ops but
   /// differ in metadata, so they hash differently, as required).
   ///
-  /// Memoized: every code path builds (or decodes) a block and only then
-  /// hashes it, so the first call pins the identity. The one post-hash
-  /// mutation in the tree — BlockStore::release_ops dropping committed op
-  /// payloads — must NOT change identity, which the memo guarantees.
+  /// Memoized, or pinned from the frame a block arrived in (see
+  /// consensus/block_frames.h). The one post-hash mutation in the tree —
+  /// BlockStore::release_ops dropping committed op payloads — must NOT
+  /// change identity, which the memo guarantees.
   Hash256 hash() const;
+  /// Pins a digest the caller vouches is this block's.
+  void pin_hash(const Hash256& h) { hash_memo_.value = h; }
+  /// Block digest of an encoding given in consecutive parts.
+  static Hash256 digest(std::initializer_list<BytesView> parts);
+  /// digest() calls so far in this process (tests pin hash-once paths).
+  static inline std::atomic<std::uint64_t> digests_computed{0};
 
   bool is_genesis() const { return view == 0 && height == 0; }
 
-  void encode(Writer& w) const;
+  /// With `slices`, encode/decode record where the block lies in w / r.
+  void encode(Writer& w, BlockSlices* slices = nullptr) const;
   /// Exact number of bytes encode() appends (hash() reserves its buffer
   /// from it, so hashing a block never grows and copies the encoding).
   std::size_t encoded_size() const;
-  static Result<Block> decode(Reader& r);
+  static Result<Block> decode(Reader& r, BlockSlices* slices = nullptr);
   bool operator==(const Block& o) const {
     return parent_link == o.parent_link && parent_view == o.parent_view &&
            view == o.view && height == o.height &&

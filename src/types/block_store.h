@@ -22,9 +22,8 @@ class BlockStore {
 
   /// Inserts a block (idempotent) and returns the stored body. Orphans are
   /// allowed — consensus can validate proposals from QC metadata alone and
-  /// fetch bodies later. Pass an owned block by move: a move keeps its
-  /// memoized identity, while a copy (Block's memo resets on copy) costs a
-  /// full re-encode and digest lookup.
+  /// fetch bodies later. Pass an owned block by move: a copy drops its
+  /// pinned identity and re-encodes to hash.
   const Block& insert(Block block);
 
   bool contains(const Hash256& hash) const;

@@ -67,12 +67,14 @@ Result<ClientReplyMsg> ClientReplyMsg::decode(Reader& r) {
   return m;
 }
 
-void ProposalMsg::encode(Writer& w) const {
+void ProposalMsg::encode(Writer& w, std::vector<BlockSlices>* slices) const {
   w.u8(static_cast<std::uint8_t>(phase));
   w.u64(view);
   w.varint(entries.size());
+  if (slices) slices->assign(entries.size(), BlockSlices{});
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const ProposalEntry& e = entries[i];
+    BlockSlices* at = slices ? &(*slices)[i] : nullptr;
     // Shadow-block optimisation: if this block's ops batch is identical to
     // the first entry's, send the metadata only.
     const bool shadow = i > 0 && e.block.ops == entries[0].block.ops;
@@ -80,15 +82,17 @@ void ProposalMsg::encode(Writer& w) const {
     if (shadow) {
       Block stripped = e.block;
       stripped.ops.clear();
-      stripped.encode(w);
+      stripped.encode(w, at);
+      if (at) at->ops = (*slices)[0].ops;
     } else {
-      e.block.encode(w);
+      e.block.encode(w, at);
     }
     e.justify.encode(w);
   }
 }
 
-Result<ProposalMsg> ProposalMsg::decode(Reader& r) {
+Result<ProposalMsg> ProposalMsg::decode(Reader& r,
+                                        std::vector<BlockSlices>* slices) {
   ProposalMsg m;
   std::uint8_t phase = 0;
   if (Status s = r.u8(phase); !s.is_ok()) return s;
@@ -102,17 +106,26 @@ Result<ProposalMsg> ProposalMsg::decode(Reader& r) {
   if (count == 0 || count > 2) {
     return error(ErrorCode::kCorruption, "bad proposal entry count");
   }
+  if (slices) slices->assign(count, BlockSlices{});
   for (std::uint64_t i = 0; i < count; ++i) {
     bool shadow = false;
     if (Status s = r.boolean(shadow); !s.is_ok()) return s;
     if (shadow && i == 0) {
       return error(ErrorCode::kCorruption, "first entry cannot be shadow");
     }
-    Result<Block> b = Block::decode(r);
+    BlockSlices* at = slices ? &(*slices)[i] : nullptr;
+    Result<Block> b = Block::decode(r, at);
     if (!b.is_ok()) return b.status();
     ProposalEntry entry;
     entry.block = std::move(b).take();
-    if (shadow) entry.block.ops = m.entries[0].block.ops;
+    if (shadow) {
+      // A shadow's batch is stripped on the wire: ops there are not canonical.
+      if (!entry.block.ops.empty()) {
+        return error(ErrorCode::kCorruption, "shadow entry carries ops");
+      }
+      entry.block.ops = m.entries[0].block.ops;
+      if (at) at->ops = (*slices)[0].ops;
+    }
     Result<Justify> j = Justify::decode(r);
     if (!j.is_ok()) return j.status();
     entry.justify = std::move(j).take();
@@ -229,8 +242,10 @@ Result<FetchRequestMsg> FetchRequestMsg::decode(Reader& r) {
 
 void FetchResponseMsg::encode(Writer& w) const { block.encode(w); }
 
-Result<FetchResponseMsg> FetchResponseMsg::decode(Reader& r) {
-  Result<Block> b = Block::decode(r);
+Result<FetchResponseMsg> FetchResponseMsg::decode(
+    Reader& r, std::vector<BlockSlices>* slices) {
+  if (slices) slices->assign(1, BlockSlices{});
+  Result<Block> b = Block::decode(r, slices ? slices->data() : nullptr);
   if (!b.is_ok()) return b.status();
   return FetchResponseMsg{std::move(b).take()};
 }
@@ -250,7 +265,8 @@ void SnapshotResponseMsg::encode(Writer& w) const {
   for (const Block& b : suffix) b.encode(w);
 }
 
-Result<SnapshotResponseMsg> SnapshotResponseMsg::decode(Reader& r) {
+Result<SnapshotResponseMsg> SnapshotResponseMsg::decode(
+    Reader& r, std::vector<BlockSlices>* slices) {
   SnapshotResponseMsg m;
   if (Status s = r.u64(m.height); !s.is_ok()) return s;
   Bytes h;
@@ -262,8 +278,9 @@ Result<SnapshotResponseMsg> SnapshotResponseMsg::decode(Reader& r) {
     return error(ErrorCode::kCorruption, "oversized snapshot suffix");
   }
   m.suffix.reserve(count);
+  if (slices) slices->assign(count, BlockSlices{});
   for (std::uint64_t i = 0; i < count; ++i) {
-    Result<Block> b = Block::decode(r);
+    Result<Block> b = Block::decode(r, slices ? &(*slices)[i] : nullptr);
     if (!b.is_ok()) return b.status();
     m.suffix.push_back(std::move(b).take());
   }

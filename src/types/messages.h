@@ -73,6 +73,10 @@ struct ClientReplyMsg {
 struct ProposalEntry {
   Block block;
   Justify justify;
+  /// Not on the wire: a leader's own proposal back over loopback is not
+  /// decoded, but points at the block in its store (`block` stays empty).
+  const Block* stored = nullptr;
+  const Block& proposed() const { return stored ? *stored : block; }
 };
 
 struct ProposalMsg {
@@ -80,8 +84,10 @@ struct ProposalMsg {
   ViewNumber view = 0;
   std::vector<ProposalEntry> entries;  // 1 or 2 (two only in PRE-PREPARE)
 
-  void encode(Writer& w) const;
-  static Result<ProposalMsg> decode(Reader& r);
+  /// With `slices`, both record each entry's BlockSlices.
+  void encode(Writer& w, std::vector<BlockSlices>* slices = nullptr) const;
+  static Result<ProposalMsg> decode(
+      Reader& r, std::vector<BlockSlices>* slices = nullptr);
 
   /// Wire size (shadow sharing accounted).
   std::size_t wire_size() const;
@@ -138,7 +144,8 @@ struct FetchResponseMsg {
   Block block;
 
   void encode(Writer& w) const;
-  static Result<FetchResponseMsg> decode(Reader& r);
+  static Result<FetchResponseMsg> decode(
+      Reader& r, std::vector<BlockSlices>* slices = nullptr);
 };
 
 /// State-transfer request from a recovering or far-behind replica:
@@ -169,7 +176,8 @@ struct SnapshotResponseMsg {
   static constexpr std::size_t kSuffixBytes = 32u << 20;
 
   void encode(Writer& w) const;
-  static Result<SnapshotResponseMsg> decode(Reader& r);
+  static Result<SnapshotResponseMsg> decode(
+      Reader& r, std::vector<BlockSlices>* slices = nullptr);
 };
 
 /// Pacemaker view synchronization (broadcast): the sender's view timer

@@ -5,6 +5,7 @@
 // message injection.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "consensus/txpool.h"
@@ -837,6 +838,53 @@ TEST(MarlinViewChange, ForgedViewChangeWithBadSigIgnored) {
 // ---------------------------------------------------------------------------
 // TxPool / VoteCollector units
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Block identity from the frame
+// ---------------------------------------------------------------------------
+
+TEST(FramedDigests, MatchEncodeThenHashOnEveryPath) {
+  for (Kind kind : {Kind::kMarlin, Kind::kHotStuff}) {
+    ProtocolHarness h(kind);
+    h.start_all();
+    std::map<MsgKind, std::size_t> checked;
+    // Before each delivery, open the head frame as its receiver will and
+    // compare every pinned digest with encode-then-hash (a copy drops the
+    // pinned digest and re-encodes).
+    auto pump = [&] {
+      while (!h.queue().empty()) {
+        const types::Envelope& env = h.queue().front().envelope;
+        for (const Block& b : framed_blocks(env)) {
+          EXPECT_EQ(b.hash(), Block(b).hash());
+          ++checked[env.kind()];
+        }
+        h.step();
+      }
+    };
+    RequestId next = 1;
+    auto commit_blocks = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        h.submit_to_all(op_of(1, next, 64 + next % 7));
+        ++next;
+        pump();
+      }
+    };
+    commit_blocks(3);
+    // A short outage ends in fetches; a long one (more than a fetch batch
+    // behind) in a snapshot.
+    for (int outage : {5, 80}) {
+      h.set_drop([](const BusMessage& m) { return m.to == 3; });
+      commit_blocks(outage);
+      h.set_drop(nullptr);
+      commit_blocks(2);
+    }
+    EXPECT_EQ(h.replica(3).committed_height(), h.replica(0).committed_height());
+    EXPECT_GT(checked[MsgKind::kProposal], 0u);
+    EXPECT_GT(checked[MsgKind::kFetchResponse], 0u);
+    EXPECT_GT(checked[MsgKind::kSnapshotResponse], 0u);
+    EXPECT_TRUE(h.all_consistent());
+  }
+}
 
 TEST(TxPool, DeduplicatesByClientRequest) {
   TxPool pool;

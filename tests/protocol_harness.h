@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "consensus/block_frames.h"
 #include "consensus/hotstuff.h"
 #include "consensus/marlin.h"
 #include "faults/byzantine.h"
@@ -251,6 +252,34 @@ std::optional<M> peek(const BusMessage& m, types::MsgKind kind) {
   auto r = types::open_envelope<M>(m.envelope);
   if (!r.is_ok()) return std::nullopt;
   return std::move(r).take();
+}
+
+/// Blocks a frame carries, opened the way a receiver opens them (digests
+/// pinned from the frame's slot); empty for other kinds.
+inline std::vector<types::Block> framed_blocks(const types::Envelope& env) {
+  switch (env.kind()) {
+    case MsgKind::kProposal: {
+      std::vector<types::Block> out;
+      if (auto m = open_framed<types::ProposalMsg>(env); m.is_ok()) {
+        for (auto& e : m.value().entries) out.push_back(std::move(e.block));
+      }
+      return out;
+    }
+    case MsgKind::kFetchResponse: {
+      if (auto m = open_framed<types::FetchResponseMsg>(env); m.is_ok()) {
+        return {std::move(m.value().block)};
+      }
+      return {};
+    }
+    case MsgKind::kSnapshotResponse: {
+      if (auto m = open_framed<types::SnapshotResponseMsg>(env); m.is_ok()) {
+        return std::move(m.value().suffix);
+      }
+      return {};
+    }
+    default:
+      return {};
+  }
 }
 
 }  // namespace marlin::consensus::testing

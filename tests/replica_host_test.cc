@@ -292,6 +292,64 @@ TEST_F(ReplicaHostFrames, IngressDecodesOutOfTheFrame) {
   EXPECT_EQ(replicas_[1]->protocol().pool().pending(), 1u);
 }
 
+/// Hands `op` to every replica; the view-1 leader proposes it.
+void submit_everywhere(std::vector<std::unique_ptr<BusReplica>>& replicas,
+                       const types::Operation& op) {
+  types::ClientRequestMsg msg;
+  msg.ops.push_back(op);
+  const Payload frame =
+      types::make_envelope(types::MsgKind::kClientRequest, msg).serialize();
+  for (auto& r : replicas) r->handle_message(kN, frame);
+}
+
+TEST_F(ReplicaHostFrames, BroadcastHashesItsBlockOnce) {
+  for (ReplicaId r = 0; r < kN; ++r) add_replica(storage::make_mem_env());
+  for (auto& r : replicas_) r->start();
+  pump();
+  const std::uint64_t before = types::Block::digests_computed;
+  submit_everywhere(replicas_, types::Operation{0, 1, Bytes(64u << 10, 7)});
+  pump();
+  // The leader digests its frame after sending it; the n receivers (its
+  // own loopback included) and every later use of the block reuse that.
+  EXPECT_EQ(types::Block::digests_computed - before, 1u);
+  for (auto& r : replicas_) EXPECT_EQ(r->protocol().committed_height(), 1u);
+}
+
+TEST_F(ReplicaHostFrames, LoopbackProposalIsNotDecoded) {
+  for (ReplicaId r = 0; r < kN; ++r) add_replica(storage::make_mem_env());
+  for (auto& r : replicas_) r->start();
+  pump();
+  submit_everywhere(replicas_, types::Operation{0, 1, Bytes(64u << 10, 7)});
+  const ReplicaId leader = 1;  // of view 1
+  std::vector<Frame> proposals;
+  for (Frame& f : bus_) {
+    if (kind_of(f.wire) == types::MsgKind::kProposal) proposals.push_back(f);
+  }
+  bus_.clear();
+  ASSERT_EQ(proposals.size(), kN);
+  for (const Frame& f : proposals) {
+    ASSERT_EQ(f.from, leader);
+    alloc_hook::reset();
+    replicas_[f.to]->handle_message(f.from, f.wire);
+    const std::uint64_t allocated = alloc_hook::bytes();
+    if (f.to == leader) {
+      // The block is already stored under the frame's digest: no decode,
+      // no copy of the 64 KiB op, no hash.
+      EXPECT_LT(allocated, f.wire.size() / 8);
+    } else {
+      EXPECT_GE(allocated, f.wire.size() - 64) << "follower " << f.to;
+    }
+  }
+  // The loopback still votes, like every follower.
+  std::size_t votes = 0;
+  for (const Frame& f : bus_) {
+    votes += kind_of(f.wire) == types::MsgKind::kVote && f.to == leader;
+  }
+  EXPECT_EQ(votes, kN);
+  pump();
+  EXPECT_EQ(replicas_[leader]->protocol().committed_height(), 1u);
+}
+
 /// A closed-loop client on the same bus: transmits are dropped, replies
 /// are handed in by the test.
 class BusClient final : public ClientProcess {

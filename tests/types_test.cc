@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "consensus/block_frames.h"
 #include "types/block_store.h"
 #include "types/messages.h"
 
@@ -81,49 +82,13 @@ TEST(Block, ShadowBlocksHashDifferently) {
   EXPECT_NE(b1.hash(), b2.hash());
 }
 
-// Block::hash() through its digest memo must equal a plain SHA-256 of the
+// Block::hash() of a block built locally must equal a plain SHA-256 of the
 // block's hash encoding.
 Hash256 unmemoized_hash(const Block& b) {
   Writer w;
   w.str("marlin.block");
   b.encode(w);
   return crypto::Sha256::digest(std::move(w).take());
-}
-
-TEST(Block, MemoKeepsBlocksApartWhenOnlyLaterBytesDiffer) {
-  // The memo keys on the encoding's size and first 256 bytes. These two
-  // blocks agree on both and differ at byte ~900 of the first op's payload.
-  Block a = make_block(7, 3, crypto::Sha256::digest(to_bytes("p")), 6,
-                       {make_op(1, 1, 1000)});
-  Block b = a;
-  b.ops[0].payload[900] ^= 0x01;
-  const Hash256 ha = a.hash();
-  const Hash256 hb = b.hash();
-  EXPECT_NE(ha, hb);
-  EXPECT_EQ(ha, unmemoized_hash(a));
-  EXPECT_EQ(hb, unmemoized_hash(b));
-  // Fresh copies (no per-object memo) answer from the thread's memo.
-  const Block a2 = a;
-  const Block b2 = b;
-  EXPECT_EQ(a2.hash(), ha);
-  EXPECT_EQ(b2.hash(), hb);
-}
-
-TEST(Block, MemoStaysCorrectPastItsByteBound) {
-  // 96 distinct 256 KiB blocks on one thread: 24 MiB of encodings, past
-  // the memo's byte bound, so it evicts mid-run.
-  std::vector<Block> blocks;
-  std::vector<Hash256> first;
-  for (std::uint64_t i = 0; i < 96; ++i) {
-    blocks.push_back(make_block(i + 1, i + 1, Hash256{}, i,
-                                {make_op(1, i + 1, 256u << 10)}));
-    first.push_back(blocks.back().hash());
-    ASSERT_EQ(first.back(), unmemoized_hash(blocks.back())) << i;
-  }
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Block copy = blocks[i];
-    ASSERT_EQ(copy.hash(), first[i]) << i;
-  }
 }
 
 TEST(Block, EncodedSizeIsExact) {
@@ -812,6 +777,203 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz,
                          ::testing::Values(1000, 2000, 3000, 4000));
+
+// ---------------------------------------------------------------------------
+// Block identity from the frame (consensus/block_frames.h)
+// ---------------------------------------------------------------------------
+
+QuorumCert signed_qc(QcType type, ViewNumber view, Height height) {
+  QuorumCert qc = make_qc(type, view, height,
+                          crypto::Sha256::digest(to_bytes("b")), view, 1);
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    qc.sigs.parts.push_back(
+        {r, Bytes(crypto::kSignatureSize, static_cast<std::uint8_t>(r + 1))});
+  }
+  return qc;
+}
+
+/// Frames exercising every block path: a PREPARE, a PRE-PREPARE shadow
+/// pair, a fetch response and a snapshot suffix, with signature-group,
+/// threshold-form and (qc, vc) justifies.
+std::vector<Envelope> block_frames() {
+  Block b1 = make_block(4, 3, crypto::Sha256::digest(to_bytes("p")), 2,
+                        {make_op(1, 1, 40), make_op(2, 5, 300)});
+  b1.justify.qc = signed_qc(QcType::kPrepare, 3, 2);
+  Block b2 = b1;
+  b2.height = 4;
+  b2.virtual_block = true;
+  b2.parent_link = Hash256{};
+  b2.justify.qc = make_qc(QcType::kPrePrepare, 3, 3, {}, 3, 2, true);
+  b2.justify.qc->threshold_sig = Bytes(crypto::kSignatureSize, 0x7a);
+  b2.justify.vc = signed_qc(QcType::kPrepare, 2, 2);
+
+  ProposalMsg prepare;
+  prepare.view = 4;
+  prepare.entries.push_back({b1, b1.justify});
+  ProposalMsg pair;
+  pair.phase = Phase::kPrePrepare;
+  pair.view = 4;
+  pair.entries.push_back({b1, b1.justify});
+  pair.entries.push_back({b2, b2.justify});
+  SnapshotResponseMsg snapshot;
+  snapshot.height = 4;
+  snapshot.suffix = {b2, b1};
+  return {make_envelope(MsgKind::kProposal, prepare),
+          make_envelope(MsgKind::kProposal, pair),
+          make_envelope(MsgKind::kFetchResponse, FetchResponseMsg{b1}),
+          make_envelope(MsgKind::kSnapshotResponse, snapshot)};
+}
+
+/// Opens a frame as a receiver does and returns its blocks, digests
+/// pinned; nullopt when it does not decode.
+std::optional<std::vector<Block>> open_blocks(const Envelope& env) {
+  using consensus::open_framed;
+  std::vector<Block> out;
+  switch (env.kind()) {
+    case MsgKind::kProposal: {
+      auto m = open_framed<ProposalMsg>(env);
+      if (!m.is_ok()) return std::nullopt;
+      for (ProposalEntry& e : m.value().entries) {
+        out.push_back(std::move(e.block));
+      }
+      return out;
+    }
+    case MsgKind::kFetchResponse: {
+      auto m = open_framed<FetchResponseMsg>(env);
+      if (!m.is_ok()) return std::nullopt;
+      out.push_back(std::move(m.value().block));
+      return out;
+    }
+    case MsgKind::kSnapshotResponse: {
+      auto m = open_framed<SnapshotResponseMsg>(env);
+      if (!m.is_ok()) return std::nullopt;
+      return std::move(m.value().suffix);
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+TEST(FramedBlocks, PinnedDigestIsEncodeThenHash) {
+  for (const Envelope& env : block_frames()) {
+    auto blocks = open_blocks(env);
+    ASSERT_TRUE(blocks.has_value());
+    ASSERT_FALSE(blocks->empty());
+    for (const Block& b : *blocks) {
+      // A copy drops the pinned digest, so it encodes and hashes.
+      EXPECT_EQ(b.hash(), Block(b).hash());
+      EXPECT_EQ(b.hash(), unmemoized_hash(b));
+    }
+  }
+}
+
+TEST(FramedBlocks, FrameIsHashedOnceForAllReceivers) {
+  const Envelope env = block_frames()[1];  // the shadow pair
+  const std::uint64_t before = Block::digests_computed;
+  std::vector<Hash256> first;
+  const auto opened = open_blocks(env);
+  ASSERT_TRUE(opened.has_value());
+  for (const Block& b : *opened) first.push_back(b.hash());
+  // Receivers of the same frame (a shared buffer) reuse its digests.
+  for (int receiver = 1; receiver < 4; ++receiver) {
+    const Envelope copy = Envelope::parse(env.serialize()).take();
+    const auto reopened = open_blocks(copy);
+    ASSERT_TRUE(reopened.has_value());
+    std::vector<Hash256> again;
+    for (const Block& b : *reopened) again.push_back(b.hash());
+    EXPECT_EQ(again, first);
+  }
+  EXPECT_EQ(Block::digests_computed - before, first.size());
+}
+
+TEST(FramedBlocks, LeaderDigestsItsFrameForEveryReceiver) {
+  ProposalMsg msg =
+      decode_from_bytes<ProposalMsg>(block_frames()[1].body()).take();
+  std::vector<BlockSlices> sent;
+  const Envelope env = consensus::frame_proposal(msg, sent);
+  EXPECT_EQ(env.serialize().bytes(),
+            make_envelope(MsgKind::kProposal, msg).serialize().bytes());
+  // The leader's slices are the ones a receiver's decoder records.
+  std::vector<BlockSlices> received;
+  Reader r(env.serialize().view());
+  ASSERT_TRUE(r.skip(1).is_ok());
+  ASSERT_TRUE(ProposalMsg::decode(r, &received).is_ok());
+  ASSERT_EQ(sent.size(), 2u);
+  ASSERT_EQ(received.size(), 2u);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(sent[i].head, received[i].head) << i;
+    EXPECT_EQ(sent[i].ops, received[i].ops) << i;
+    EXPECT_EQ(sent[i].justify, received[i].justify) << i;
+  }
+  // The shadow borrows the first entry's batch.
+  EXPECT_EQ(sent[1].ops, sent[0].ops);
+
+  const std::uint64_t before = Block::digests_computed;
+  consensus::pin_block_digests(env, sent,
+                               {&msg.entries[0].block, &msg.entries[1].block});
+  const auto receiver = open_blocks(env);
+  EXPECT_EQ(Block::digests_computed - before, 2u);
+  ASSERT_TRUE(receiver.has_value());
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Block& sent_block = msg.entries[i].block;
+    EXPECT_EQ(sent_block.hash(), Block(sent_block).hash());
+    EXPECT_EQ((*receiver)[i].hash(), sent_block.hash());
+  }
+}
+
+class FramedBlockFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FramedBlockFuzz, MutatedFramesThatDecodePinEncodeThenHash) {
+  // Decoders must accept only canonical encodings: slice hashing takes the
+  // frame's bytes as the block's encoding. Every single-byte mutation of
+  // every frame (reaching each header, op, justify, QC, signature group
+  // and partial-signature field), plus random multi-byte ones, either
+  // fails to decode or yields blocks whose pinned digest equals
+  // encode-then-hash.
+  Rng rng(GetParam());
+  std::size_t decoded = 0;
+  auto check = [&](const Bytes& wire) {
+    auto env = Envelope::parse(wire);
+    if (!env.is_ok()) return;
+    auto blocks = open_blocks(env.value());
+    if (!blocks) return;
+    ++decoded;
+    for (const Block& b : *blocks) {
+      ASSERT_EQ(b.hash(), Block(b).hash())
+          << "non-canonical frame accepted: " << to_hex(wire);
+    }
+  };
+  for (const Envelope& env : block_frames()) {
+    const Bytes& frame = env.serialize().bytes();
+    for (std::size_t at = 1; at < frame.size(); ++at) {
+      Bytes wire = frame;
+      wire[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      check(wire);
+    }
+    for (int trial = 0; trial < 300; ++trial) {
+      Bytes wire = frame;
+      const auto mutation = rng.next_below(3);
+      if (mutation == 0) {
+        for (int k = 0; k < 2; ++k) {
+          wire[1 + rng.next_below(wire.size() - 1)] =
+              static_cast<std::uint8_t>(rng.next_below(256));
+        }
+      } else if (mutation == 1) {
+        wire.insert(wire.begin() + 1 + rng.next_below(wire.size() - 1),
+                    static_cast<std::uint8_t>(rng.next_below(256)));
+      } else {
+        wire.erase(wire.begin() + 1 + rng.next_below(wire.size() - 1));
+      }
+      check(wire);
+    }
+  }
+  // Mutations that keep a frame decodable exist (op payload bytes, views,
+  // signature bytes): the sweep did check some.
+  EXPECT_GT(decoded, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FramedBlockFuzz,
+                         ::testing::Values(11, 22, 33, 44));
 
 }  // namespace
 }  // namespace marlin::types

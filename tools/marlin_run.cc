@@ -24,6 +24,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -461,12 +462,29 @@ void print_summary(const Options& opt, const Run& run,
 
 /// The trace consumers, over either backend's merged events.
 bool write_trace_outputs(const Options& opt, const Run& run) {
-  if (const std::uint64_t evicted = run.trace_evicted(); evicted > 0) {
-    std::fprintf(stderr,
-                 "warning: trace ring overflowed; oldest %llu events lost\n",
-                 static_cast<unsigned long long>(evicted));
-  }
   const std::vector<obs::TraceEvent> events = run.trace();
+  if (const std::uint64_t evicted = run.trace_evicted(); evicted > 0) {
+    // Each node's ring holds its events from its oldest survivor on, so
+    // the outputs describe every node only from the latest of those.
+    std::map<std::uint32_t, TimePoint> oldest;
+    TimePoint first = events.empty() ? TimePoint{} : events.front().at;
+    TimePoint last = first;
+    for (const obs::TraceEvent& e : events) {
+      auto [it, fresh] = oldest.try_emplace(e.node, e.at);
+      if (!fresh) it->second = std::min(it->second, e.at);
+      first = std::min(first, e.at);
+      last = std::max(last, e.at);
+    }
+    TimePoint whole = first;
+    for (const auto& [node, at] : oldest) whole = std::max(whole, at);
+    std::fprintf(stderr,
+                 "warning: trace ring overflowed; oldest %llu events lost; "
+                 "the trace covers every node only from %.3f s to %.3f s "
+                 "after its first event\n",
+                 static_cast<unsigned long long>(evicted),
+                 (whole - first).as_seconds_f(),
+                 (last - first).as_seconds_f());
+  }
   if (opt.timeline) {
     std::printf("\n");
     obs::print_view_timeline(events, std::cout);
@@ -667,8 +685,22 @@ bool fire(realnet::RealCluster& cluster, const CrashEvent& e, double now) {
   return true;
 }
 
+/// Events a metal node may record per second of a loaded run (the leader
+/// of a 2 s n=4 run with two clients records about 10^5), and the cap on
+/// one node's ring: 4 Mi events of 72 B, about 300 MB. Rings grow on
+/// demand, so a run that records less allocates less.
+constexpr double kMetalTraceEventsPerSecond = 250'000;
+constexpr std::size_t kMetalTraceCapacityCap = std::size_t{4} << 20;
+
 int run_metal(Options& opt) {
   opt.real.trace = opt.wants_trace();
+  // Size each node's ring for the whole run, so the trace outputs describe
+  // all of it rather than its tail.
+  opt.real.trace_capacity = std::max(
+      obs::TraceSink::kDefaultCapacity,
+      static_cast<std::size_t>(
+          std::min<double>(kMetalTraceCapacityCap,
+                           (opt.seconds + 1) * kMetalTraceEventsPerSecond)));
   realnet::RealCluster cluster(opt.cluster, opt.real);
   if (!cluster.ok().is_ok()) {
     std::fprintf(stderr, "cluster init failed: %s\n",
