@@ -8,8 +8,10 @@
 // state.
 //
 // Lives in common/ because it is the callable type of the backend-neutral
-// marlin::Scheduler interface (common/scheduler.h): the simulated engine,
-// the sharded engine, and the realnet timer wheel all store EventFns.
+// marlin::Scheduler interface (common/scheduler.h): every implementation
+// (the simulated engine, the sharded engine, and the realnet EventLoop's
+// timers) stores EventFns in the one marlin::EventQueue
+// (common/event_queue.h).
 #pragma once
 
 #include <cstddef>

@@ -3,44 +3,27 @@
 // all need "what time is it" plus "run this later (maybe cancellable)" —
 // and nothing else. Scheduler is that contract, implemented by:
 //  - sim::Simulator            (legacy single-queue discrete-event engine)
-//  - sim::ShardedSimulator     (per-shard clocks, lookahead windows)
-//  - realnet::TimerWheel       (hashed wheel driven by an epoll EventLoop)
-// Callers hold a Scheduler& and stop naming the backend type, so the same
-// host code runs on one global clock, a shard-local clock, or wall time.
+//  - sim::NodeScheduler        (a node's facade on the sharded engine:
+//                               per-shard clocks, lookahead windows)
+//  - realnet::LoopScheduler    (the timers of an epoll EventLoop)
+// All three keep their events in the one marlin::EventQueue
+// (common/event_queue.h). Callers hold a Scheduler& and stop naming the
+// backend type, so the same host code runs on one global clock, a
+// shard-local clock, or wall time.
 //
-// Handles use the generation-counted-slab idiom every backend already
-// spoke (see simnet/simulator.h): cancel() on a fired/stale handle is a
-// no-op, detected via the slot's generation counter. A TimerHandle must
-// not outlive its Scheduler.
+// TimerHandle (common/event_queue.h) points at its queue's generation-
+// counted slab: cancel() on a fired/stale handle is a no-op, detected via
+// the slot's generation counter. A TimerHandle must not outlive its
+// Scheduler.
 #pragma once
 
-#include <cstdint>
 #include <utility>
 
 #include "common/event_fn.h"
+#include "common/event_queue.h"
 #include "common/sim_time.h"
 
 namespace marlin {
-
-class Scheduler;
-
-/// Cancellation handle for a scheduled event. Default-constructed handles
-/// are inert; cancelling an already-fired event (or one whose slot was
-/// recycled for a newer event) is a no-op.
-class TimerHandle {
- public:
-  TimerHandle() = default;
-  inline void cancel();
-  inline bool active() const;
-
- private:
-  friend class Scheduler;
-  TimerHandle(Scheduler* sched, std::uint32_t slot, std::uint32_t gen)
-      : sched_(sched), slot_(slot), gen_(gen) {}
-  Scheduler* sched_ = nullptr;
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
-};
 
 class Scheduler {
  public:
@@ -66,28 +49,6 @@ class Scheduler {
     return schedule_at(now() + delay, std::move(fn));
   }
   virtual TimerHandle schedule_at(TimePoint when, EventFn fn) = 0;
-
- protected:
-  friend class TimerHandle;
-
-  /// Slab hooks backing TimerHandle: same (slot, gen) protocol in every
-  /// backend, so the handle type is shared rather than per-engine.
-  virtual void cancel_timer(std::uint32_t slot, std::uint32_t gen) = 0;
-  virtual bool timer_active(std::uint32_t slot, std::uint32_t gen) const = 0;
-
-  /// Mints a handle owned by this scheduler (TimerHandle's ctor is
-  /// private; only Scheduler implementations create live handles).
-  TimerHandle make_handle(std::uint32_t slot, std::uint32_t gen) {
-    return TimerHandle(this, slot, gen);
-  }
 };
-
-inline void TimerHandle::cancel() {
-  if (sched_ != nullptr) sched_->cancel_timer(slot_, gen_);
-}
-
-inline bool TimerHandle::active() const {
-  return sched_ != nullptr && sched_->timer_active(slot_, gen_);
-}
 
 }  // namespace marlin

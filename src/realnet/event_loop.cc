@@ -4,11 +4,47 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <vector>
 
 namespace marlin::realnet {
+
+// -- LoopScheduler -----------------------------------------------------------
+
+void LoopScheduler::push(TimePoint when, std::uint32_t slot, EventFn fn) {
+  queue_.push(
+      FifoEvent{std::max(when, now_), next_seq_++, slot, std::move(fn)});
+}
+
+TimerHandle LoopScheduler::schedule_at(TimePoint when, EventFn fn) {
+  const std::uint32_t slot = queue_.slab().acquire();
+  push(when, slot, std::move(fn));
+  return queue_.slab().handle(slot);
+}
+
+void LoopScheduler::post_at(TimePoint when, EventFn fn) {
+  push(when, TimerSlab::kNoSlot, std::move(fn));
+}
+
+void LoopScheduler::advance(TimePoint now) {
+  stamp(now);
+  while (const FifoEvent* head = queue_.peek()) {
+    if (head->when > now_) break;
+    FifoEvent ev = queue_.pop();
+    ++fired_;
+    if (drift_hist_ != nullptr) drift_hist_->record(now_ - ev.when);
+    ev.fn();
+  }
+}
+
+std::int64_t LoopScheduler::next_timeout_ns(TimePoint now) {
+  const FifoEvent* head = queue_.peek();
+  if (head == nullptr) return -1;
+  return std::max<std::int64_t>((head->when - now).as_nanos(), 0);
+}
+
+// -- EventLoop ---------------------------------------------------------------
 
 namespace {
 thread_local const void* tls_thread_token = nullptr;
@@ -20,6 +56,7 @@ const void* thread_token() {
 }  // namespace
 
 EventLoop::EventLoop() {
+  timers_.stamp(mono_now());
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   assert(epoll_fd_ >= 0);
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -80,20 +117,20 @@ void EventLoop::wake() {
 
 void EventLoop::drain_posted() {
   // Swap under the lock, run outside it: posted callbacks may post again.
-  std::deque<PostedTask> batch;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
-    batch.swap(posted_);
+    running_.swap(posted_);
   }
-  if (batch.empty()) return;
+  if (running_.empty()) return;
   // One clock read covers the whole batch: wake-to-run latency is dominated
   // by the epoll wakeup, not intra-batch ordering.
   const TimePoint now = wake_hist_ != nullptr ? mono_now() : TimePoint();
-  for (auto& task : batch) {
+  for (auto& task : running_) {
     if (wake_hist_ != nullptr) wake_hist_->record(now - task.enqueued);
     ++posted_run_;
     task.fn();
   }
+  running_.clear();
 }
 
 bool EventLoop::on_loop_thread() const {
@@ -103,8 +140,7 @@ bool EventLoop::on_loop_thread() const {
 void EventLoop::run_once(Duration max_wait) {
   loop_thread_.store(thread_token(), std::memory_order_release);
 
-  const TimePoint now = mono_now();
-  std::int64_t timeout_ns = wheel_.next_timeout_ns(now);
+  std::int64_t timeout_ns = timers_.next_timeout_ns(mono_now());
   const std::int64_t cap = max_wait.as_nanos();
   if (timeout_ns < 0 || timeout_ns > cap) timeout_ns = cap;
   {
@@ -116,13 +152,14 @@ void EventLoop::run_once(Duration max_wait) {
 
   epoll_event events[64];
   const int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  timers_.stamp(mono_now());
 
   // Active-time measurement starts after the (intentional) epoll block;
-  // decimated 1-in-8 so the per-iteration clock reads and sample growth
+  // decimated 1-in-8 so the end-of-iteration clock reads and sample growth
   // stay negligible on hot loops.
   ++iterations_;
   const bool time_this = iter_hist_ != nullptr && (iterations_ & 7) == 0;
-  const TimePoint iter_start = time_this ? mono_now() : TimePoint();
+  const TimePoint iter_start = timers_.now();
 
   drain_posted();
   for (int i = 0; i < n; ++i) {
@@ -136,7 +173,7 @@ void EventLoop::run_once(Duration max_wait) {
     auto it = handlers_.find(fd);
     if (it != handlers_.end()) it->second->on_fd_event(fd, events[i].events);
   }
-  wheel_.advance(mono_now());
+  timers_.advance(mono_now());
   drain_posted();
   if (tick_) tick_();
   if (time_this) iter_hist_->record(mono_now() - iter_start);

@@ -1,24 +1,75 @@
-// Single-threaded epoll reactor: fd readiness, a monotonic timer wheel,
-// and a thread-safe post() queue (eventfd wakeup). Each replica/client
-// host owns one EventLoop on its own thread; everything that host does —
-// consensus callbacks, timers, socket I/O — runs on that loop thread, so
-// hosts need no internal locking (the same single-threaded discipline the
-// simulator enforces globally, applied per node).
+// Single-threaded epoll reactor: fd readiness, monotonic timers on the
+// shared event queue (common/event_queue.h), and a thread-safe post()
+// queue (eventfd wakeup). Each replica/client host owns one EventLoop on
+// its own thread; everything that host does — consensus callbacks,
+// timers, socket I/O — runs on that loop thread, so hosts need no
+// internal locking (the same single-threaded discipline the simulator
+// enforces globally, applied per node).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
+#include "common/event_queue.h"
 #include "common/histogram.h"
+#include "common/scheduler.h"
 #include "common/sim_time.h"
 #include "realnet/clock.h"
-#include "realnet/timer_wheel.h"
 
 namespace marlin::realnet {
+
+/// The loop's timers: the realnet implementation of marlin::Scheduler, a
+/// (deadline, seq) queue of FifoEvents. Owned and driven by one EventLoop,
+/// on its thread. now() is the loop's clock stamp: the loop stamps it from
+/// mono_now() right after epoll_wait returns and again just before timers
+/// fire, so a relative timer armed by an fd handler, a posted task or a
+/// timer callback measures from a fresh clock read.
+class LoopScheduler final : public marlin::Scheduler {
+ public:
+  TimePoint now() const override { return now_; }
+
+  /// Past deadlines clamp to now(): they fire on the next advance(), never
+  /// synchronously.
+  TimerHandle schedule_at(TimePoint when, EventFn fn) override;
+  void post_at(TimePoint when, EventFn fn) override;
+
+  /// Moves the clock to `now` (never backwards).
+  void stamp(TimePoint now) {
+    if (now_ < now) now_ = now;
+  }
+  /// Stamps `now`, then fires every live timer due by then in (deadline,
+  /// seq) order. Callbacks may schedule and cancel freely.
+  void advance(TimePoint now);
+
+  /// Nanoseconds from `now` until the earliest live deadline, clamped to
+  /// >= 0; -1 when no timer is pending (epoll_wait's "block forever").
+  /// Drops the cancelled timers at the head of the queue on the way.
+  std::int64_t next_timeout_ns(TimePoint now);
+
+  /// Queued timers, cancelled ones not yet dropped included.
+  std::size_t pending() const { return queue_.size(); }
+
+  /// Total timers fired (cancelled ones excluded).
+  std::uint64_t fired() const { return fired_; }
+
+  /// When set, every fired timer records `advance_now - deadline` (how late
+  /// the loop ran it). Non-owning; the histogram must outlive the loop or
+  /// be detached with nullptr.
+  void set_fire_drift_histogram(LatencyHistogram* h) { drift_hist_ = h; }
+
+ private:
+  void push(TimePoint when, std::uint32_t slot, EventFn fn);
+
+  TimePoint now_;
+  std::uint64_t next_seq_ = 0;
+  EventQueue<FifoEvent> queue_;
+  std::uint64_t fired_ = 0;
+  LatencyHistogram* drift_hist_ = nullptr;
+};
 
 /// Receiver of fd readiness events (a socket, a listener). Non-owning
 /// registration: the handler must outlive its registration.
@@ -43,24 +94,15 @@ class EventLoop {
   void del_fd(int fd);
 
   // -- timers (loop thread only) ---------------------------------------------
-  TimerHandle schedule_at(TimePoint when, EventFn fn) {
-    return wheel_.schedule_at(when, std::move(fn));
-  }
-  TimerHandle schedule(Duration delay, EventFn fn) {
-    return wheel_.schedule_at(mono_now() + delay, std::move(fn));
-  }
-  /// Fire-and-forget (drops the handle; mirrors Simulator::post).
-  void post_after(Duration delay, EventFn fn) {
-    wheel_.schedule_at(mono_now() + delay, std::move(fn));
-  }
-
-  /// The loop's timers as a backend-neutral Scheduler (the wheel): lets
-  /// hosts written against marlin::Scheduler& run on the real transport.
-  marlin::Scheduler& scheduler() { return wheel_; }
+  /// The loop's timers. As a marlin::Scheduler they let hosts written
+  /// against Scheduler& run on the real transport.
+  LoopScheduler& scheduler() { return timers_; }
 
   // -- cross-thread ----------------------------------------------------------
   /// Enqueues `fn` to run on the loop thread; safe from any thread and
   /// from within loop callbacks. The loop is woken if blocked in epoll.
+  /// (Not Scheduler::post, which takes a delay and is loop-thread only:
+  /// that one is scheduler().post.)
   void post(std::function<void()> fn);
 
   /// Requests run() to return after the current iteration (any thread).
@@ -94,14 +136,14 @@ class EventLoop {
   void set_iteration_histogram(LatencyHistogram* h) { iter_hist_ = h; }
   /// post() enqueue → callback run latency (eventfd wake-to-run).
   void set_wake_histogram(LatencyHistogram* h) { wake_hist_ = h; }
-  /// Forwards to the timer wheel's fire-drift histogram.
+  /// Forwards to the timers' fire-drift histogram.
   void set_timer_drift_histogram(LatencyHistogram* h) {
-    wheel_.set_fire_drift_histogram(h);
+    timers_.set_fire_drift_histogram(h);
   }
 
   std::uint64_t iterations() const { return iterations_; }
   std::uint64_t posted_tasks_run() const { return posted_run_; }
-  std::uint64_t timers_fired() const { return wheel_.fired(); }
+  std::uint64_t timers_fired() const { return timers_.fired(); }
 
  private:
   struct PostedTask {
@@ -114,11 +156,14 @@ class EventLoop {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
-  TimerWheel wheel_;
+  LoopScheduler timers_;
   std::unordered_map<int, FdHandler*> handlers_;
 
   std::mutex posted_mu_;
-  std::deque<PostedTask> posted_;
+  std::vector<PostedTask> posted_;
+  /// The batch drain_posted() runs: swapped with posted_ under the lock,
+  /// so the two buffers keep their capacity and draining never allocates.
+  std::vector<PostedTask> running_;
   std::function<void()> tick_;
 
   std::atomic<bool> stop_{false};

@@ -22,7 +22,7 @@ namespace {
 constexpr Duration kDrainTimeout = Duration::seconds(2);
 
 /// The metal backend of the shared closed-loop client: the node's
-/// TcpTransport, its timer wheel and the monotonic clock.
+/// TcpTransport, its loop's timers and the monotonic clock.
 class RealClient final : public runtime::ClientProcess {
  public:
   RealClient(EventLoop& loop, TcpTransport& transport,
@@ -189,7 +189,7 @@ void RealCluster::start_node(std::uint32_t id) {
   } else {
     runtime::ClientProcess* host = node.client.get();
     loop->post([loop, host, delay = runtime::client_start_delay(id - n())] {
-      loop->post_after(delay, [host] { host->start(); });
+      loop->scheduler().post(delay, [host] { host->start(); });
     });
   }
 }
@@ -221,7 +221,7 @@ void RealCluster::begin_stop(std::uint32_t id, bool drain) {
   *step = [loop, transport, telemetry, deadline, weak] {
     if (transport->pending_egress_bytes() > 0 && mono_now() < deadline) {
       if (auto self = weak.lock()) {
-        loop->post_after(Duration::millis(1), [self] { (*self)(); });
+        loop->scheduler().post(Duration::millis(1), [self] { (*self)(); });
       }
       return;
     }

@@ -13,7 +13,7 @@ RealReplica::RealReplica(EventLoop& loop, TcpTransport& transport,
     : ReplicaHost(suite, std::move(config), std::move(env)),
       loop_(loop),
       transport_(transport) {
-  // Loop/wheel health histograms live in this replica's registry (std::map
+  // Loop/timer health histograms live in this replica's registry (std::map
   // nodes are reference-stable); the loop records into them from its own
   // thread, the same thread that serves /metrics.
   loop_.set_iteration_histogram(&metrics().latency("loop.iteration"));

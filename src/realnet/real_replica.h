@@ -1,5 +1,5 @@
 // The metal backend of runtime::ReplicaHost: binds the shared host to one
-// node's EventLoop (timer wheel, monotonic clock) and TcpTransport, and
+// node's EventLoop (timers, monotonic clock) and TcpTransport, and
 // serves the node's live telemetry. Everything else — protocol
 // construction, restore-from-disk on relaunch, block records, checkpoints,
 // replies, write-ahead voting, the view timer — is the shared host.

@@ -307,7 +307,7 @@ void TcpTransport::schedule_redial(std::uint32_t id) {
                      ? config_.reconnect_min
                      : std::min(peer.backoff * 2, config_.reconnect_max);
   ++redials_scheduled_;
-  peer.reconnect = loop_.schedule(peer.backoff, [this, id] {
+  peer.reconnect = loop_.scheduler().schedule(peer.backoff, [this, id] {
     auto it = peers_.find(id);
     if (it == peers_.end() || shut_down_) return;
     if (it->second.fd < 0) dial(id);

@@ -11,7 +11,7 @@
 //    cost sink is a virtual CPU that charges the crypto/storage cost
 //    models and holds a step's sends until the step's charged time ends;
 //  * realnet::RealReplica — a TcpTransport, the monotonic clock and the
-//    node's EventLoop timer wheel; wall time is real, so its cost sink
+//    timers of the node's EventLoop; wall time is real, so its cost sink
 //    charges nothing (the host's counters still count).
 //
 // Write-ahead voting: persist_state() writes the consensus state before

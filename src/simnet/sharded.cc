@@ -24,94 +24,25 @@ TimePoint NodeScheduler::now() const {
 }
 
 void NodeScheduler::post_at(TimePoint when, EventFn fn) {
-  engine_->post_event(this, when, ShardedSimulator::kNoSlot, std::move(fn));
+  engine_->post_event(this, when, TimerSlab::kNoSlot, std::move(fn));
 }
 
 TimerHandle NodeScheduler::schedule_at(TimePoint when, EventFn fn) {
-  ShardedSimulator::Shard& home = *engine_->shards_[shard_];
-  // Timers touch the home slab directly, so they may only be armed from the
-  // home shard's own execution or a quiescent phase — which is exactly who
-  // arms protocol timers (the node itself, setup, or a control-lane fault).
-  assert(ShardedSimulator::tls_shard_ == nullptr || ShardedSimulator::tls_shard_ == &home);
-  const std::uint32_t slot = home.acquire_slot();
-  ShardedSimulator::Slot& s = home.slots_[slot];
-  ++s.gen;  // invalidate any stale handle still pointing at this slot
-  s.pending = true;
-  s.cancelled = false;
+  TimerSlab& slab = engine_->shards_[shard_]->events_.slab();
+  // Timers touch the home slab directly, so they may only be armed (and
+  // cancelled) from the home shard's own execution or a quiescent phase —
+  // which is exactly who arms protocol timers (the node itself, setup, or
+  // a control-lane fault).
+  assert(ShardedSimulator::tls_shard_ == nullptr ||
+         ShardedSimulator::tls_shard_ == engine_->shards_[shard_].get());
+  const std::uint32_t slot = slab.acquire();
   engine_->post_event(this, when, slot, std::move(fn));
-  return make_handle(slot, s.gen);
-}
-
-void NodeScheduler::cancel_timer(std::uint32_t slot, std::uint32_t gen) {
-  ShardedSimulator::Shard& home = *engine_->shards_[shard_];
-  assert(ShardedSimulator::tls_shard_ == nullptr || ShardedSimulator::tls_shard_ == &home);
-  ShardedSimulator::Slot& s = home.slots_[slot];
-  if (s.gen == gen && s.pending) s.cancelled = true;
-}
-
-bool NodeScheduler::timer_active(std::uint32_t slot, std::uint32_t gen) const {
-  const ShardedSimulator::Shard& home = *engine_->shards_[shard_];
-  const ShardedSimulator::Slot& s = home.slots_[slot];
-  return s.gen == gen && s.pending && !s.cancelled;
-}
-
-// -- Shard heap / slab (same 4-ary shape as Simulator's) ---------------------
-
-void ShardedSimulator::Shard::push(Event ev) {
-  std::size_t hole = heap_.size();
-  heap_.emplace_back();
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 4;
-    if (!earlier(ev, heap_[parent])) break;
-    heap_[hole] = std::move(heap_[parent]);
-    hole = parent;
-  }
-  heap_[hole] = std::move(ev);
-}
-
-ShardedSimulator::Event ShardedSimulator::Shard::pop() {
-  Event top = std::move(heap_.front());
-  Event last = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    std::size_t hole = 0;
-    const std::size_t size = heap_.size();
-    for (;;) {
-      const std::size_t first_child = hole * 4 + 1;
-      if (first_child >= size) break;
-      std::size_t best = first_child;
-      const std::size_t limit = std::min(first_child + 4, size);
-      for (std::size_t c = first_child + 1; c < limit; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], last)) break;
-      heap_[hole] = std::move(heap_[best]);
-      hole = best;
-    }
-    heap_[hole] = std::move(last);
-  }
-  return top;
-}
-
-std::uint32_t ShardedSimulator::Shard::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  slots_.push_back(Slot{});
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void ShardedSimulator::Shard::release_slot(std::uint32_t slot) {
-  slots_[slot].pending = false;
-  slots_[slot].cancelled = false;
-  free_slots_.push_back(slot);
+  return slab.handle(slot);
 }
 
 void ShardedSimulator::Shard::drain_inbox() {
   std::lock_guard<std::mutex> guard(inbox_mu_);
-  for (Event& ev : inbox_) push(std::move(ev));
+  for (Event& ev : inbox_) events_.push(std::move(ev));
   inbox_.clear();
 }
 
@@ -230,24 +161,17 @@ void ShardedSimulator::post_event(NodeScheduler* target, TimePoint when,
     return;
   }
   assert(when >= home.clock_);
-  home.push(std::move(ev));
+  home.events_.push(std::move(ev));
 }
 
 void ShardedSimulator::run_window(Shard& shard, TimePoint end, bool inclusive) {
   shard.drain_inbox();
   ShardedSimulator::tls_shard_ = &shard;
-  while (!shard.heap_.empty()) {
-    const Event& top = shard.heap_.front();
-    if (top.slot != kNoSlot && shard.slots_[top.slot].cancelled) {
-      // Skip cancelled heads before the deadline check so a dead timer
-      // parked past `end` never stalls the window early.
-      const std::uint32_t slot = shard.pop().slot;
-      shard.release_slot(slot);
-      continue;
-    }
-    if (inclusive ? top.when > end : top.when >= end) break;
-    Event ev = shard.pop();
-    if (ev.slot != kNoSlot) shard.release_slot(ev.slot);
+  // peek() drops cancelled heads before the deadline check, so a dead
+  // timer parked past `end` never stalls the window early.
+  while (const Event* head = shard.events_.peek()) {
+    if (inclusive ? head->when > end : head->when >= end) break;
+    Event ev = shard.events_.pop();
     shard.clock_ = ev.when;
     ShardedSimulator::tls_node_ = ev.exec;
     ++shard.executed_;
@@ -324,7 +248,7 @@ std::uint64_t ShardedSimulator::events_executed() const {
 std::size_t ShardedSimulator::pending_events() const {
   std::size_t total = control_.pending_events();
   for (const auto& shard : shards_) {
-    total += shard->heap_.size() + shard->inbox_.size();
+    total += shard->events_.size() + shard->inbox_.size();
   }
   return total;
 }
@@ -333,13 +257,7 @@ void ShardedSimulator::reserve(std::size_t events_per_shard,
                                std::size_t timers_per_shard) {
   control_.reserve(events_per_shard, timers_per_shard);
   for (auto& shard : shards_) {
-    if (shard->heap_.capacity() < events_per_shard) {
-      shard->heap_.reserve(events_per_shard);
-    }
-    if (shard->slots_.capacity() < timers_per_shard) {
-      shard->slots_.reserve(timers_per_shard);
-      shard->free_slots_.reserve(timers_per_shard);
-    }
+    shard->events_.reserve(events_per_shard, timers_per_shard);
     // Inboxes see at most a window's worth of cross-shard traffic.
     if (shard->inbox_.capacity() < events_per_shard / 4) {
       shard->inbox_.reserve(events_per_shard / 4);

@@ -1,6 +1,6 @@
 // Partitioned discrete-event engine for large clusters (n = 100..1000).
 // Replica/client nodes are assigned round-robin to K shards; each shard
-// owns a local event heap, cancellation slab, and clock, and the shards
+// owns a local event queue (common/event_queue.h) and clock, and the shards
 // advance in lock-step lookahead windows executed by a worker pool:
 //
 //   barrier T:  run control-lane events due <= T (faults, GST — shards
@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
@@ -62,10 +63,6 @@ class NodeScheduler final : public marlin::Scheduler {
 
   NodeId node() const { return node_; }
   std::uint32_t shard() const { return shard_; }
-
- protected:
-  void cancel_timer(std::uint32_t slot, std::uint32_t gen) override;
-  bool timer_active(std::uint32_t slot, std::uint32_t gen) const override;
 
  private:
   friend class ShardedSimulator;
@@ -150,14 +147,13 @@ class ShardedSimulator {
   std::uint64_t events_executed() const;
   std::size_t pending_events() const;
 
-  /// Pre-sizes every shard's event heap and cancellation slab (and the
-  /// inboxes) so steady state never grows them inside a window.
+  /// Pre-sizes every shard's event queue (and the inboxes) so steady
+  /// state never grows them inside a window.
   void reserve(std::size_t events_per_shard, std::size_t timers_per_shard);
 
  private:
   friend class NodeScheduler;
 
-  static constexpr std::uint32_t kNoSlot = ~0u;
   /// Origin id for events posted outside any node's execution (setup code,
   /// control-lane callbacks). Highest id: external ties run after node
   /// events at the same instant.
@@ -170,36 +166,24 @@ class ShardedSimulator {
     std::uint64_t oseq;    // per-origin sequence number
     NodeScheduler* exec;   // facade this event was posted through
     EventFn fn;
-  };
 
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool pending = false;
-    bool cancelled = false;
+    /// Strict (when, origin, oseq) order: unique, globally deterministic,
+    /// independent of which shard/worker inserted the event when.
+    static bool earlier(const Event& a, const Event& b) {
+      if (a.when != b.when) return a.when < b.when;
+      if (a.origin != b.origin) return a.origin < b.origin;
+      return a.oseq < b.oseq;
+    }
   };
-
-  /// Strict (when, origin, oseq) order: unique, globally deterministic,
-  /// independent of which shard/worker inserted the event when.
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    return a.oseq < b.oseq;
-  }
 
   struct Shard {
-    std::vector<Event> heap_;  // 4-ary min-heap, same shape as Simulator's
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    EventQueue<Event> events_;
     TimePoint clock_;
     std::uint64_t executed_ = 0;
 
     std::mutex inbox_mu_;
     std::vector<Event> inbox_;  // cross-shard arrivals, merged at barriers
 
-    void push(Event ev);
-    Event pop();
-    std::uint32_t acquire_slot();
-    void release_slot(std::uint32_t slot);
     void drain_inbox();
   };
 

@@ -1,127 +1,31 @@
 #include "simnet/simulator.h"
 
-#include <cassert>
-#include <utility>
-
 namespace marlin::sim {
 
-// The event queue is a 4-ary min-heap in a flat vector. Relative to the
-// binary std::priority_queue it replaces: sift paths are ~half as deep
-// (fewer moves per push/pop), the backing store is reused across events
-// (no per-event allocation once warm), and — crucially — pop MOVES the
-// event out instead of copying it, so a callback that captured a payload
-// is never duplicated on its way to execution.
-namespace {
-constexpr std::size_t kArity = 4;
-}  // namespace
-
-void Simulator::push_event(TimePoint when, std::uint32_t slot, EventFn fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  Event ev{when, next_seq_++, slot, std::move(fn)};
-  std::size_t i = heap_.size();
-  heap_.push_back(std::move(ev));
-  // Sift up with a hole: hold the new event aside and move parents down
-  // until its position is found, then place it once.
-  Event hole = std::move(heap_.back());
-  while (i > 0) {
-    std::size_t parent = (i - 1) / kArity;
-    if (!earlier(hole, heap_[parent])) break;
-    heap_[i] = std::move(heap_[parent]);
-    i = parent;
-  }
-  heap_[i] = std::move(hole);
-}
-
-Simulator::Event Simulator::pop_event() {
-  Event top = std::move(heap_.front());
-  Event last = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    // Sift down with a hole at the root, placing `last` at its final spot.
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t first_child = i * kArity + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      std::size_t end = first_child + kArity < n ? first_child + kArity : n;
-      for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], last)) break;
-      heap_[i] = std::move(heap_[best]);
-      i = best;
-    }
-    heap_[i] = std::move(last);
-  }
-  return top;
-}
-
-std::uint32_t Simulator::acquire_slot() {
-  if (!free_slots_.empty()) {
-    std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot].pending = true;
-    slots_[slot].cancelled = false;
-    return slot;
-  }
-  slots_.push_back(Slot{0, true, false});
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void Simulator::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.pending = false;
-  s.cancelled = false;
-  ++s.gen;  // invalidate any outstanding TimerHandle before reuse
-  free_slots_.push_back(slot);
-}
-
 TimerHandle Simulator::schedule_at(TimePoint when, EventFn fn) {
-  std::uint32_t slot = acquire_slot();
-  std::uint32_t gen = slots_[slot].gen;
+  const std::uint32_t slot = queue_.slab().acquire();
   push_event(when, slot, std::move(fn));
-  return make_handle(slot, gen);
-}
-
-void Simulator::reserve(std::size_t events, std::size_t timers) {
-  if (heap_.capacity() < events) heap_.reserve(events);
-  if (slots_.capacity() < timers) {
-    slots_.reserve(timers);
-    free_slots_.reserve(timers);
-  }
+  return queue_.slab().handle(slot);
 }
 
 void Simulator::post_at(TimePoint when, EventFn fn) {
-  push_event(when, kNoSlot, std::move(fn));
+  push_event(when, TimerSlab::kNoSlot, std::move(fn));
 }
 
 bool Simulator::step() {
-  while (!heap_.empty()) {
-    Event ev = pop_event();
-    if (ev.slot != kNoSlot) {
-      bool cancelled = slots_[ev.slot].cancelled;
-      release_slot(ev.slot);
-      if (cancelled) continue;
-    }
-    assert(ev.when >= now_);
-    now_ = ev.when;
-    ++executed_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (queue_.peek() == nullptr) return false;
+  FifoEvent ev = queue_.pop();
+  assert(ev.when >= now_);
+  now_ = ev.when;
+  ++executed_;
+  ev.fn();
+  return true;
 }
 
 void Simulator::run_until(TimePoint deadline) {
-  while (!heap_.empty()) {
-    // Skip cancelled heads without advancing time.
-    if (slot_cancelled(heap_.front())) {
-      Event ev = pop_event();
-      release_slot(ev.slot);
-      continue;
-    }
-    if (heap_.front().when > deadline) break;
+  // peek() skips cancelled heads without advancing time.
+  while (const FifoEvent* head = queue_.peek()) {
+    if (head->when > deadline) break;
     step();
   }
   if (now_ < deadline) now_ = deadline;

@@ -3,35 +3,29 @@
 // charging, protocol timers) is an event here, so whole cluster runs replay
 // bit-identically from a seed.
 //
-// The engine is allocation-lean by design (see docs/PERFORMANCE.md):
-//  - events live in a 4-ary min-heap over a plain vector, moved (never
-//    copied) during sifts, so pooled heap storage is reused across events;
-//  - callbacks are stored in a small-buffer-optimized EventFn, so typical
-//    captures need no heap allocation;
-//  - cancellation state is lazy: post()/post_at() events carry none at all,
-//    and schedule()/schedule_at() events borrow a slot from a generation-
-//    counted slab that is recycled when the event fires.
+// The engine is allocation-lean by design (see docs/PERFORMANCE.md): events
+// live in the shared marlin::EventQueue (common/event_queue.h), moved and
+// never copied; callbacks are small-buffer EventFns; and post()ed events
+// carry no cancellation state at all.
 // Ordering is the strict (when, seq) total order the golden traces pin;
 // post and schedule share one seq counter, so replacing the queue/handle
 // machinery cannot reorder anything.
 //
 // Simulator is the single-queue implementation of marlin::Scheduler
 // (common/scheduler.h); hosts written against Scheduler& run unchanged on
-// the sharded engine (simnet/sharded.h) and the realnet timer wheel.
+// the sharded engine (simnet/sharded.h) and the realnet EventLoop.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
+#include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
 
 namespace marlin::sim {
-
-/// Scheduled-event handles are the shared generation-counted kind; the
-/// alias keeps the historical sim::TimerHandle spelling working.
-using TimerHandle = marlin::TimerHandle;
 
 class Simulator final : public marlin::Scheduler {
  public:
@@ -51,7 +45,9 @@ class Simulator final : public marlin::Scheduler {
   /// Pre-sizes the event heap and cancellation slab so steady state never
   /// grows them in the hot loop. Sizing heuristic lives with the caller
   /// (Cluster knows n and fanout); extra calls only ever grow capacity.
-  void reserve(std::size_t events, std::size_t timers);
+  void reserve(std::size_t events, std::size_t timers) {
+    queue_.reserve(events, timers);
+  }
 
   /// Runs the earliest pending event; returns false when the queue is empty.
   bool step();
@@ -65,58 +61,18 @@ class Simulator final : public marlin::Scheduler {
   void run(std::uint64_t max_events = ~0ull);
 
   std::uint64_t events_executed() const { return executed_; }
-  std::size_t pending_events() const { return heap_.size(); }
-
- protected:
-  void cancel_timer(std::uint32_t slot, std::uint32_t gen) override {
-    Slot& s = slots_[slot];
-    if (s.gen == gen && s.pending) s.cancelled = true;
-  }
-  bool timer_active(std::uint32_t slot, std::uint32_t gen) const override {
-    const Slot& s = slots_[slot];
-    return s.gen == gen && s.pending && !s.cancelled;
-  }
+  std::size_t pending_events() const { return queue_.size(); }
 
  private:
-  static constexpr std::uint32_t kNoSlot = ~0u;
-
-  struct Event {
-    TimePoint when;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::uint32_t slot;  // kNoSlot for post()ed events
-    EventFn fn;
-  };
-
-  /// Cancellation slab entry. `gen` bumps every time the slot is recycled,
-  /// invalidating stale TimerHandles without any per-handle allocation.
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool pending = false;
-    bool cancelled = false;
-  };
-
-  /// Strict (when, seq) order — both keys combined are unique, so the heap
-  /// pop order is a total order independent of heap internals.
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-
-  void push_event(TimePoint when, std::uint32_t slot, EventFn fn);
-  Event pop_event();
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-
-  bool slot_cancelled(const Event& ev) const {
-    return ev.slot != kNoSlot && slots_[ev.slot].cancelled;
+  void push_event(TimePoint when, std::uint32_t slot, EventFn fn) {
+    assert(when >= now_ && "cannot schedule into the past");
+    queue_.push(FifoEvent{when, next_seq_++, slot, std::move(fn)});
   }
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Event> heap_;  // 4-ary min-heap, see simulator.cc
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  EventQueue<FifoEvent> queue_;
   Rng rng_;
 };
 

@@ -1,5 +1,5 @@
-// Tests for the real-socket runtime (src/realnet): the timer wheel, the
-// epoll event loop, the TCP transport pair (framing, reconnect), and full
+// Tests for the real-socket runtime (src/realnet): the event loop's timers,
+// the epoll event loop, the TCP transport pair (framing, reconnect), and full
 // localhost clusters — commit liveness, clean shutdown draining in-flight
 // sends, and replica kill+relaunch reloading durable state over TCP.
 //
@@ -18,7 +18,6 @@
 #include "realnet/http_client.h"
 #include "realnet/real_cluster.h"
 #include "realnet/tcp_transport.h"
-#include "realnet/timer_wheel.h"
 
 namespace marlin::realnet {
 namespace {
@@ -51,87 +50,110 @@ double live_committed_height(RealCluster& cluster, ReplicaId id) {
 }
 
 // ---------------------------------------------------------------------------
-// TimerWheel
+// LoopScheduler: the loop's timers, advanced by hand (the loop never runs)
 // ---------------------------------------------------------------------------
 
-TEST(TimerWheel, FiresInDeadlineOrder) {
-  TimerWheel wheel;
+TEST(LoopScheduler, FiresInDeadlineOrder) {
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
   std::vector<int> order;
-  const TimePoint t0 = TimePoint::origin();
-  wheel.schedule_at(t0 + Duration::millis(30), [&] { order.push_back(3); });
-  wheel.schedule_at(t0 + Duration::millis(10), [&] { order.push_back(1); });
-  wheel.schedule_at(t0 + Duration::millis(20), [&] { order.push_back(2); });
-  EXPECT_EQ(wheel.pending(), 3u);
-  wheel.advance(t0 + Duration::millis(40));
+  const TimePoint t0 = timers.now();
+  timers.schedule_at(t0 + Duration::millis(30), [&] { order.push_back(3); });
+  timers.schedule_at(t0 + Duration::millis(10), [&] { order.push_back(1); });
+  timers.schedule_at(t0 + Duration::millis(20), [&] { order.push_back(2); });
+  EXPECT_EQ(timers.pending(), 3u);
+  timers.advance(t0 + Duration::millis(40));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(timers.pending(), 0u);
 }
 
-TEST(TimerWheel, DoesNotFireEarly) {
-  TimerWheel wheel;
+TEST(LoopScheduler, DoesNotFireEarly) {
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
+  const TimePoint t0 = timers.now();
   bool fired = false;
-  wheel.schedule_at(TimePoint::from_nanos(50'000'000), [&] { fired = true; });
-  wheel.advance(TimePoint::from_nanos(49'000'000));
+  timers.schedule_at(t0 + Duration::millis(50), [&] { fired = true; });
+  timers.advance(t0 + Duration::millis(49));
   EXPECT_FALSE(fired);
-  wheel.advance(TimePoint::from_nanos(50'000'000));
+  timers.advance(t0 + Duration::millis(50));
   EXPECT_TRUE(fired);
 }
 
-TEST(TimerWheel, CancelledTimerDoesNotFire) {
-  TimerWheel wheel;
+TEST(LoopScheduler, CancelledTimerDoesNotFire) {
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
+  const TimePoint t0 = timers.now();
   bool fired = false;
-  TimerHandle h = wheel.schedule_at(TimePoint::from_nanos(10'000'000),
-                                    [&] { fired = true; });
+  TimerHandle h =
+      timers.schedule_at(t0 + Duration::millis(10), [&] { fired = true; });
   EXPECT_TRUE(h.active());
   h.cancel();
   EXPECT_FALSE(h.active());
-  wheel.advance(TimePoint::from_nanos(20'000'000));
+  timers.advance(t0 + Duration::millis(20));
   EXPECT_FALSE(fired);
   // Cancelling again (stale handle) is a no-op.
   h.cancel();
 }
 
-TEST(TimerWheel, StaleHandleCannotCancelReusedSlot) {
-  TimerWheel wheel;
+TEST(LoopScheduler, StaleHandleCannotCancelReusedSlot) {
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
+  const TimePoint t0 = timers.now();
   int fired = 0;
-  TimerHandle h1 = wheel.schedule_at(TimePoint::from_nanos(1'000'000),
-                                     [&] { ++fired; });
-  wheel.advance(TimePoint::from_nanos(2'000'000));
+  TimerHandle h1 =
+      timers.schedule_at(t0 + Duration::millis(1), [&] { ++fired; });
+  timers.advance(t0 + Duration::millis(2));
   EXPECT_EQ(fired, 1);
   // The slab slot is free now; a new timer may reuse it. The old handle's
   // generation is stale and must not cancel the new timer.
-  TimerHandle h2 = wheel.schedule_at(TimePoint::from_nanos(3'000'000),
-                                     [&] { ++fired; });
+  TimerHandle h2 =
+      timers.schedule_at(t0 + Duration::millis(3), [&] { ++fired; });
   h1.cancel();
   EXPECT_TRUE(h2.active());
-  wheel.advance(TimePoint::from_nanos(4'000'000));
+  timers.advance(t0 + Duration::millis(4));
   EXPECT_EQ(fired, 2);
 }
 
-TEST(TimerWheel, FarDeadlineSurvivesWheelRotations) {
-  TimerWheel wheel;
-  // > kBuckets ticks out: hashes into a bucket that is visited several
-  // times before the deadline; must fire only at the deadline.
+TEST(LoopScheduler, FarDeadlineFiresOnTime) {
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
+  const TimePoint t0 = timers.now();
+  // A deadline seconds out, past many advances: must fire only at the
+  // deadline.
   bool fired = false;
-  const TimePoint far = TimePoint::from_nanos(3'500'000'000);  // 3.5 s
-  wheel.schedule_at(far, [&] { fired = true; });
+  const TimePoint far = t0 + Duration::millis(3500);
+  timers.schedule_at(far, [&] { fired = true; });
   for (std::int64_t ms = 0; ms < 3500; ms += 100) {
-    wheel.advance(TimePoint::from_nanos(ms * 1'000'000));
+    timers.advance(t0 + Duration::millis(ms));
     ASSERT_FALSE(fired) << "fired early at " << ms << " ms";
   }
-  wheel.advance(far);
+  timers.advance(far);
   EXPECT_TRUE(fired);
 }
 
-TEST(TimerWheel, NextTimeoutTracksEarliestPending) {
-  TimerWheel wheel;
-  const TimePoint t0 = TimePoint::origin();
-  EXPECT_EQ(wheel.next_timeout_ns(t0), -1);
-  wheel.schedule_at(t0 + Duration::millis(50), [] {});
-  TimerHandle near = wheel.schedule_at(t0 + Duration::millis(10), [] {});
-  EXPECT_EQ(wheel.next_timeout_ns(t0), Duration::millis(10).as_nanos());
+TEST(LoopScheduler, NextTimeoutTracksEarliestPending) {
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
+  const TimePoint t0 = timers.now();
+  EXPECT_EQ(timers.next_timeout_ns(t0), -1);
+  timers.schedule_at(t0 + Duration::millis(50), [] {});
+  TimerHandle near = timers.schedule_at(t0 + Duration::millis(10), [] {});
+  EXPECT_EQ(timers.next_timeout_ns(t0), Duration::millis(10).as_nanos());
   near.cancel();
-  EXPECT_EQ(wheel.next_timeout_ns(t0), Duration::millis(50).as_nanos());
+  EXPECT_EQ(timers.next_timeout_ns(t0), Duration::millis(50).as_nanos());
+}
+
+TEST(LoopScheduler, NextTimeoutIgnoresManyCancelledTimers) {
+  // The shape of a client's retransmit timers: one armed per request and
+  // cancelled by its reply long before the deadline.
+  EventLoop loop;
+  LoopScheduler& timers = loop.scheduler();
+  const TimePoint t0 = timers.now();
+  for (int i = 0; i < 100'000; ++i) {
+    timers.schedule_at(t0 + Duration::millis(1 + i % 4000), [] {}).cancel();
+  }
+  timers.schedule_at(t0 + Duration::millis(10), [] {});
+  EXPECT_EQ(timers.next_timeout_ns(t0), Duration::millis(10).as_nanos());
 }
 
 // ---------------------------------------------------------------------------
@@ -159,13 +181,13 @@ TEST(EventLoop, TimersFireAtRealTime) {
   const TimePoint start = mono_now();
   std::thread t([&] { loop.run(); });
   loop.post([&] {
-    loop.schedule(Duration::millis(30), [&] {
+    loop.scheduler().schedule(Duration::millis(30), [&] {
       fired_at = (mono_now() - start).as_nanos();
       loop.stop();
     });
   });
   t.join();
-  // Fired, and not before the deadline (wheel resolution is 1 ms).
+  // Fired, and not before the deadline (epoll_wait waits in whole ms).
   EXPECT_GE(fired_at.load(), Duration::millis(29).as_nanos());
 }
 

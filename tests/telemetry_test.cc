@@ -1,6 +1,6 @@
 // Tests for the live telemetry plane: Prometheus text rendering, the JSONL
 // metric-series schema, wire-stat export naming parity with the simulated
-// network, the in-loop HTTP telemetry server, event-loop/timer-wheel health
+// network, the in-loop HTTP telemetry server, event-loop and loop-timer health
 // instrumentation, and live scraping of a real n=4 cluster.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "realnet/event_loop.h"
 #include "realnet/http_client.h"
 #include "realnet/real_cluster.h"
-#include "realnet/timer_wheel.h"
 
 namespace marlin {
 namespace {
@@ -261,20 +260,21 @@ TEST(TelemetryServer, CountsRequestsServed) {
 }
 
 // ---------------------------------------------------------------------------
-// Event loop & timer wheel health instrumentation
+// Event loop & loop timer health instrumentation
 // ---------------------------------------------------------------------------
 
-TEST(TimerWheelHealth, RecordsFireDriftDeterministically) {
-  realnet::TimerWheel wheel;
+TEST(LoopSchedulerHealth, RecordsFireDriftDeterministically) {
+  realnet::EventLoop loop;
+  realnet::LoopScheduler& timers = loop.scheduler();
   LatencyHistogram drift;
-  wheel.set_fire_drift_histogram(&drift);
+  timers.set_fire_drift_histogram(&drift);
 
-  const TimePoint t0 = TimePoint::origin();
-  wheel.schedule_at(t0 + Duration::millis(10), [] {});
-  wheel.schedule_at(t0 + Duration::millis(20), [] {});
-  wheel.advance(t0 + Duration::millis(25));
+  const TimePoint t0 = timers.now();
+  timers.schedule_at(t0 + Duration::millis(10), [] {});
+  timers.schedule_at(t0 + Duration::millis(20), [] {});
+  timers.advance(t0 + Duration::millis(25));
 
-  EXPECT_EQ(wheel.fired(), 2u);
+  EXPECT_EQ(timers.fired(), 2u);
   ASSERT_EQ(drift.count(), 2u);
   // Timers fired 15 ms and 5 ms past their deadlines.
   EXPECT_EQ(drift.max(), Duration::millis(15));
