@@ -1,167 +1,31 @@
 #include "crypto/signer.h"
 
-#include <atomic>
+#include <array>
 #include <cassert>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
 
 namespace marlin::crypto {
 
 namespace {
-std::atomic<bool> g_parallel_crypto{false};
-}  // namespace
 
-void set_parallel_crypto(bool on) {
-  g_parallel_crypto.store(on, std::memory_order_relaxed);
+using Tag = std::array<std::uint8_t, kSignatureSize>;
+
+// 64-byte keyed tag: two chained HMACs so wire sizes match ECDSA exactly —
+// the bandwidth model must see identical message lengths. The key is a
+// midstate (HmacKey), so each tag costs the message and finalization
+// compressions only.
+Tag tag(const HmacKey& key, BytesView message) {
+  const Hash256 first = key.mac(message);
+  const Hash256 second = key.mac(first.view());
+  Tag out{};
+  std::memcpy(out.data(), first.data.data(), kHashSize);
+  std::memcpy(out.data() + kHashSize, second.data.data(), kHashSize);
+  return out;
 }
-bool parallel_crypto() {
-  return g_parallel_crypto.load(std::memory_order_relaxed);
+
+bool tag_matches(const HmacKey& key, BytesView message, BytesView tagged) {
+  return constant_time_equal(tag(key, message), tagged);
 }
-
-namespace {
-
-// Keyed 64-byte tag registry with memoization. One suite serves every
-// simulated replica in the process, so the same (signer, digest) tag is
-// derived once by the signer and then re-derived by up to n verifying
-// replicas; caching makes each distinct tag cost one HMAC evaluation per
-// run instead of n+1. Midstates (HmacKey) drop the per-evaluation cost
-// further by paying the ipad/opad compressions once per key. Outputs are
-// byte-identical to the uncached path, and the *modeled* crypto charges
-// (CryptoCostModel, virtual time) are applied by the consensus layer
-// independently of this real-CPU shortcut.
-class TagCache {
- public:
-  explicit TagCache(const std::vector<Hash256>& secrets) {
-    keys_.reserve(secrets.size());
-    for (const Hash256& s : secrets) keys_.emplace_back(s.view());
-  }
-
-  std::uint32_t n() const { return static_cast<std::uint32_t>(keys_.size()); }
-
-  // 64-byte tag: two chained HMACs so wire sizes match ECDSA exactly —
-  // the bandwidth model must see identical message lengths.
-  const Bytes& tag(std::uint32_t key_index, BytesView message) const {
-    if (message.size() <= CacheKey::kMaxMsg) {
-      if (parallel_crypto()) return tag_locked(key_index, message);
-      CacheKey k;
-      k.key_index = key_index;
-      k.len = static_cast<std::uint8_t>(message.size());
-      std::memcpy(k.msg.data(), message.data(), message.size());
-      auto [it, inserted] = cache_.try_emplace(k);
-      if (inserted) {
-        it->second = compute(key_index, message);
-        // Bound memory on very long runs; a clear only costs recomputation.
-        if (cache_.size() > kMaxEntries) {
-          Bytes value = std::move(it->second);
-          cache_.clear();
-          it = cache_.try_emplace(k, std::move(value)).first;
-        }
-      }
-      return it->second;
-    }
-    // Per-thread scratch: long messages bypass the cache on any engine.
-    static thread_local Bytes scratch;
-    scratch = compute(key_index, message);
-    return scratch;
-  }
-
- private:
-  struct CacheKey {
-    static constexpr std::size_t kMaxMsg = 48;
-    std::uint32_t key_index = 0;
-    std::uint8_t len = 0;
-    std::array<std::uint8_t, kMaxMsg> msg{};
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      // Messages are nearly always SHA-256 digests: the leading bytes are
-      // already uniform, so a load plus key mixing suffices.
-      std::uint64_t h;
-      std::memcpy(&h, k.msg.data(), sizeof h);
-      return h ^ (static_cast<std::uint64_t>(k.key_index) * 0x9e3779b97f4a7c15ULL) ^ k.len;
-    }
-  };
-  static constexpr std::size_t kMaxEntries = 1u << 20;
-
-  Bytes compute(std::uint32_t key_index, BytesView message) const {
-    const HmacKey& key = keys_[key_index];
-    const Hash256 first = key.mac(message);
-    const Hash256 second = key.mac(first.view());
-    Bytes out = first.to_bytes();
-    append(out, second.view());
-    return out;
-  }
-
-  /// Parallel-worker path: same memoization under a mutex, with the result
-  /// copied into thread-local storage (the concurrent kMaxEntries clear
-  /// would otherwise invalidate a reference another worker still holds).
-  const Bytes& tag_locked(std::uint32_t key_index, BytesView message) const {
-    static thread_local Bytes local;
-    CacheKey k;
-    k.key_index = key_index;
-    k.len = static_cast<std::uint8_t>(message.size());
-    std::memcpy(k.msg.data(), message.data(), message.size());
-    std::lock_guard<std::mutex> guard(mu_);
-    auto [it, inserted] = cache_.try_emplace(k);
-    if (inserted) {
-      it->second = compute(key_index, message);
-      if (cache_.size() > kMaxEntries) {
-        Bytes value = std::move(it->second);
-        cache_.clear();
-        it = cache_.try_emplace(k, std::move(value)).first;
-      }
-    }
-    local = it->second;
-    return local;
-  }
-
-  std::vector<HmacKey> keys_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<CacheKey, Bytes, CacheKeyHash> cache_;
-};
-
-// Shared implementation of the simulated threshold-signature combine /
-// verify (see SignatureSuite doc): the combined object is a 64-byte
-// suite-secret MAC over the message, derivable only after `threshold`
-// valid partials are presented.
-class ThresholdCore {
- public:
-  ThresholdCore(BytesView seed, const Verifier& verifier)
-      : verifier_(verifier) {
-    Bytes material(seed.begin(), seed.end());
-    append(material, to_bytes("threshold-core"));
-    secret_ = Sha256::digest(material);
-    tags_ = std::make_unique<TagCache>(std::vector<Hash256>{secret_});
-  }
-
-  std::optional<Bytes> combine(
-      BytesView message, const std::vector<std::pair<ReplicaId, Bytes>>& parts,
-      std::uint32_t threshold) const {
-    std::uint32_t valid = 0;
-    std::vector<bool> seen(verifier_.n(), false);
-    for (const auto& [signer, sig] : parts) {
-      if (signer >= verifier_.n() || seen[signer]) continue;
-      if (!verifier_.verify(signer, message, sig)) continue;
-      seen[signer] = true;
-      ++valid;
-    }
-    if (valid < threshold) return std::nullopt;
-    return tag(message);
-  }
-
-  bool verify(BytesView message, BytesView combined) const {
-    return constant_time_equal(tag(message), combined);
-  }
-
- private:
-  const Bytes& tag(BytesView message) const { return tags_->tag(0, message); }
-
-  const Verifier& verifier_;
-  Hash256 secret_;
-  std::unique_ptr<TagCache> tags_;
-};
 
 Bytes seed_for(BytesView seed, ReplicaId id, const char* domain) {
   Bytes material(seed.begin(), seed.end());
@@ -172,6 +36,44 @@ Bytes seed_for(BytesView seed, ReplicaId id, const char* domain) {
   material.push_back(static_cast<std::uint8_t>(id >> 24));
   return material;
 }
+
+// The simulated threshold-signature combine / verify shared by both
+// suites (see SignatureSuite doc): the combined object is a 64-byte
+// suite-secret tag over the message, derivable only after `threshold`
+// valid partials are presented.
+class ThresholdSuite : public SignatureSuite {
+ public:
+  std::optional<Bytes> threshold_combine(
+      BytesView message, const std::vector<std::pair<ReplicaId, Bytes>>& parts,
+      std::uint32_t threshold) const override {
+    const Verifier& v = verifier();
+    std::uint32_t valid = 0;
+    std::vector<bool> seen(v.n(), false);
+    for (const auto& [signer, sig] : parts) {
+      if (signer >= v.n() || seen[signer]) continue;
+      if (!v.verify(signer, message, sig)) continue;
+      seen[signer] = true;
+      ++valid;
+    }
+    if (valid < threshold) return std::nullopt;
+    const Tag combined = tag(key_, message);
+    return Bytes(combined.begin(), combined.end());
+  }
+
+  bool threshold_verify(BytesView message, BytesView combined) const override {
+    return tag_matches(key_, message, combined);
+  }
+
+ protected:
+  explicit ThresholdSuite(BytesView seed) {
+    Bytes material(seed.begin(), seed.end());
+    append(material, to_bytes("threshold-core"));
+    key_ = HmacKey(Sha256::digest(material).view());
+  }
+
+ private:
+  HmacKey key_;
+};
 
 // --------------------------------------------------------------------------
 // ECDSA suite
@@ -213,9 +115,9 @@ class EcdsaVerifier final : public Verifier {
   std::vector<EcdsaPublicKey> keys_;
 };
 
-class EcdsaSuite final : public SignatureSuite {
+class EcdsaSuite final : public ThresholdSuite {
  public:
-  EcdsaSuite(std::uint32_t n, BytesView seed) {
+  EcdsaSuite(std::uint32_t n, BytesView seed) : ThresholdSuite(seed) {
     std::vector<EcdsaPublicKey> pubs;
     pubs.reserve(n);
     keys_.reserve(n);
@@ -224,17 +126,6 @@ class EcdsaSuite final : public SignatureSuite {
       pubs.push_back(keys_.back().public_key());
     }
     verifier_ = std::make_unique<EcdsaVerifier>(std::move(pubs));
-    threshold_ = std::make_unique<ThresholdCore>(seed, *verifier_);
-  }
-
-  std::optional<Bytes> threshold_combine(
-      BytesView message, const std::vector<std::pair<ReplicaId, Bytes>>& parts,
-      std::uint32_t threshold) const override {
-    return threshold_->combine(message, parts, threshold);
-  }
-
-  bool threshold_verify(BytesView message, BytesView combined) const override {
-    return threshold_->verify(message, combined);
   }
 
   std::unique_ptr<Signer> signer(ReplicaId id) const override {
@@ -250,7 +141,6 @@ class EcdsaSuite final : public SignatureSuite {
  private:
   std::vector<EcdsaPrivateKey> keys_;
   std::unique_ptr<EcdsaVerifier> verifier_;
-  std::unique_ptr<ThresholdCore> threshold_;
 };
 
 // --------------------------------------------------------------------------
@@ -259,73 +149,64 @@ class EcdsaSuite final : public SignatureSuite {
 
 class FastSigner final : public Signer {
  public:
-  FastSigner(ReplicaId id, std::shared_ptr<const TagCache> tags)
-      : id_(id), tags_(std::move(tags)) {}
+  FastSigner(ReplicaId id, const HmacKey& key) : id_(id), key_(key) {}
 
   ReplicaId id() const override { return id_; }
 
   Bytes sign(BytesView message) const override {
-    return tags_->tag(id_, message);
+    const Tag t = tag(key_, message);
+    return Bytes(t.begin(), t.end());
   }
 
  private:
   ReplicaId id_;
-  std::shared_ptr<const TagCache> tags_;
+  HmacKey key_;
 };
 
 class FastVerifier final : public Verifier {
  public:
-  explicit FastVerifier(std::shared_ptr<const TagCache> tags)
-      : tags_(std::move(tags)) {}
+  explicit FastVerifier(std::vector<HmacKey> keys) : keys_(std::move(keys)) {}
 
   bool verify(ReplicaId signer, BytesView message,
               BytesView signature) const override {
-    if (signer >= tags_->n()) return false;
-    if (signature.size() != kSignatureSize) return false;
-    return constant_time_equal(tags_->tag(signer, message), signature);
+    if (signer >= keys_.size()) return false;
+    return tag_matches(keys_[signer], message, signature);
   }
 
-  std::uint32_t n() const override { return tags_->n(); }
+  std::uint32_t n() const override {
+    return static_cast<std::uint32_t>(keys_.size());
+  }
+
+  const HmacKey& key(ReplicaId id) const { return keys_[id]; }
 
  private:
-  std::shared_ptr<const TagCache> tags_;
+  std::vector<HmacKey> keys_;
 };
 
-class FastSuite final : public SignatureSuite {
+std::vector<HmacKey> fast_keys(std::uint32_t n, BytesView seed) {
+  std::vector<HmacKey> keys;
+  keys.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    keys.emplace_back(Sha256::digest(seed_for(seed, i, "fast")).view());
+  }
+  return keys;
+}
+
+class FastSuite final : public ThresholdSuite {
  public:
-  FastSuite(std::uint32_t n, BytesView seed) {
-    std::vector<Hash256> secrets;
-    secrets.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      secrets.push_back(Sha256::digest(seed_for(seed, i, "fast")));
-    }
-    tags_ = std::make_shared<TagCache>(secrets);
-    verifier_ = std::make_unique<FastVerifier>(tags_);
-    threshold_ = std::make_unique<ThresholdCore>(seed, *verifier_);
-  }
-
-  std::optional<Bytes> threshold_combine(
-      BytesView message, const std::vector<std::pair<ReplicaId, Bytes>>& parts,
-      std::uint32_t threshold) const override {
-    return threshold_->combine(message, parts, threshold);
-  }
-
-  bool threshold_verify(BytesView message, BytesView combined) const override {
-    return threshold_->verify(message, combined);
-  }
+  FastSuite(std::uint32_t n, BytesView seed)
+      : ThresholdSuite(seed), verifier_(fast_keys(n, seed)) {}
 
   std::unique_ptr<Signer> signer(ReplicaId id) const override {
-    assert(id < tags_->n());
-    return std::make_unique<FastSigner>(id, tags_);
+    assert(id < n());
+    return std::make_unique<FastSigner>(id, verifier_.key(id));
   }
 
-  const Verifier& verifier() const override { return *verifier_; }
-  std::uint32_t n() const override { return tags_->n(); }
+  const Verifier& verifier() const override { return verifier_; }
+  std::uint32_t n() const override { return verifier_.n(); }
 
  private:
-  std::shared_ptr<TagCache> tags_;
-  std::unique_ptr<FastVerifier> verifier_;
-  std::unique_ptr<ThresholdCore> threshold_;
+  FastVerifier verifier_;
 };
 
 }  // namespace

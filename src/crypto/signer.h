@@ -12,6 +12,10 @@
 //    crypto is charged in *virtual time* through CryptoCostModel. This is
 //    the suite the benchmark testbed runs, mirroring how the paper charges
 //    ECDSA cost on real hardware (DESIGN.md §1).
+//
+// A suite holds no mutable state: every tag and signature is computed
+// afresh from key material fixed at construction, so one instance serves
+// every replica of a cluster, on any number of threads.
 #pragma once
 
 #include <memory>
@@ -27,15 +31,6 @@
 namespace marlin::crypto {
 
 inline constexpr std::size_t kSignatureSize = 64;
-
-/// Parallel-execution switch for the process-wide memoization inside the
-/// fast suite (the tag cache is shared by every simulated replica). Off —
-/// the default — keeps the historical lock-free single-threaded fast path
-/// byte-for-byte; on, probes take a mutex and copy results out. Only the
-/// partitioned engine (simnet/sharded.h) turns it on, before running shard
-/// workers concurrently. Flip only while no suite calls are in flight.
-void set_parallel_crypto(bool on);
-bool parallel_crypto();
 
 /// Per-replica signing handle.
 class Signer {

@@ -47,7 +47,9 @@ class RealClient final : public runtime::ClientProcess {
 
 RealCluster::RealCluster(runtime::ClusterConfig config,
                          RealClusterOptions options)
-    : config_(std::move(config)), options_(std::move(options)) {
+    : config_(std::move(config)),
+      suite_(runtime::make_suite(config_)),
+      options_(std::move(options)) {
   const std::uint32_t total = n() + config_.clients.count;
   nodes_.resize(total);
   endpoints_.resize(total);
@@ -117,10 +119,6 @@ Status RealCluster::build_node(std::uint32_t id) {
   }
 
   if (id < n()) {
-    // A private suite per replica keeps the (non-thread-safe) verification
-    // caches unshared.
-    node.suite = runtime::make_suite(config_);
-
     runtime::ReplicaHostConfig rc = runtime::replica_host_config(config_, id);
     rc.sync_writes = options_.sync_writes;
     rc.trace = node.trace.get();
@@ -132,7 +130,7 @@ Status RealCluster::build_node(std::uint32_t id) {
       env = std::move(posix).take();
     }
     node.replica = std::make_unique<RealReplica>(
-        *node.loop, *node.transport, *node.suite, rc, std::move(env));
+        *node.loop, *node.transport, *suite_, rc, std::move(env));
     replica_hosts_[id] = node.replica.get();
     if (!node.replica->ok().is_ok()) return node.replica->ok();
     RealReplica* host = node.replica.get();
@@ -280,7 +278,6 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
   node.replica.reset();
   node.transport.reset();
   node.loop.reset();
-  node.suite.reset();
   node.trace.reset();
   if (Status s = bind_listener(node); !s.is_ok()) return s;
   if (Status s = build_node(i); !s.is_ok()) return s;

@@ -120,7 +120,6 @@ class RealCluster : public runtime::ClusterMetrology {
     std::unique_ptr<EventLoop> loop;
     std::unique_ptr<TcpTransport> transport;
     std::unique_ptr<obs::TraceSink> trace;
-    std::unique_ptr<crypto::SignatureSuite> suite;  // replicas only
     std::unique_ptr<RealReplica> replica;  // replicas only
     std::unique_ptr<runtime::ClientProcess> client;  // clients only
     // Declared after the hosts it reads from: destroyed first, while the
@@ -140,6 +139,9 @@ class RealCluster : public runtime::ClusterMetrology {
   void join_node(std::uint32_t id);
 
   runtime::ClusterConfig config_;
+  /// Shared by every replica thread (suites are immutable); declared
+  /// before nodes_ so it outlives them.
+  std::unique_ptr<crypto::SignatureSuite> suite_;
   RealClusterOptions options_;
   Status init_status_ = Status::ok();
   std::vector<Node> nodes_;

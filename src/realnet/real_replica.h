@@ -12,9 +12,8 @@
 //    write returns before the protocol resumes), so every vote is durable
 //    before its frame reaches the transport.
 //
-// Threading: everything runs on the owning EventLoop's thread. The replica
-// holds its own SignatureSuite instance (crypto caches are not thread-safe
-// to share across nodes; suites built from the same seed are identical).
+// Threading: everything runs on the owning EventLoop's thread, except the
+// SignatureSuite, which is immutable and shared by the cluster's replicas.
 #pragma once
 
 #include <memory>
@@ -30,8 +29,7 @@ class RealReplica final : public runtime::ReplicaHost {
  public:
   /// Opens (or reopens) the store in `env`; when it holds a persisted
   /// consensus state the protocol is restored from it (relaunch path).
-  /// Check ok() before start(). `suite` must outlive the replica and must
-  /// not be shared with another thread.
+  /// Check ok() before start(). `suite` must outlive the replica.
   RealReplica(EventLoop& loop, TcpTransport& transport,
               const crypto::SignatureSuite& suite,
               runtime::ReplicaHostConfig config,

@@ -19,6 +19,12 @@ namespace marlin::realnet {
 namespace {
 
 constexpr std::size_t kReadChunk = 64u << 10;
+// Egress coalescing: send() marks the peer dirty and all dirty peers flush
+// once at the end of the loop iteration (on_loop_tick), so a broadcast plus
+// pipelined votes/replies to the same peer share one scatter-gather
+// sendmsg. Max-defer bound: a peer whose unflushed backlog reaches this many
+// bytes flushes immediately instead of waiting for the tick.
+constexpr std::size_t kMaxDeferBytes = 256u << 10;
 constexpr int kListenBacklog = 64;
 
 int make_nonblocking_socket() {
@@ -150,8 +156,7 @@ void TcpTransport::send(std::uint32_t to, Payload payload) {
     // every frame queued to this peer meanwhile shares it. The max-defer
     // bound keeps a bulk burst (state transfer, catch-up batches) from
     // sitting in user space a whole iteration.
-    if (config_.coalesce_max_defer_bytes == 0 ||
-        peer.queue_bytes >= config_.coalesce_max_defer_bytes) {
+    if (peer.queue_bytes >= kMaxDeferBytes) {
       flush_peer(to);
     } else {
       mark_dirty(to, peer);
@@ -166,11 +171,6 @@ void TcpTransport::mark_dirty(std::uint32_t id, Peer& peer) {
 }
 
 void TcpTransport::on_loop_tick() {
-  if (dirty_.empty()) return;
-  flush_now();
-}
-
-void TcpTransport::flush_now() {
   // Swap to scratch: flush_peer may re-dirty (it never does today — a
   // partial write arms EPOLLOUT instead — but the swap keeps the loop safe
   // against any future re-marking).

@@ -51,13 +51,6 @@ struct TransportConfig {
   /// Per-peer egress cap; beyond it the newest frame is dropped (counted
   /// in stats.messages_dropped, traced as kMsgDropped/kDropBackpressure).
   std::size_t max_queue_bytes = 64u << 20;
-  /// Egress coalescing: send() marks the peer dirty and all dirty peers
-  /// flush once at the end of the loop iteration (on_loop_tick), so a
-  /// broadcast plus pipelined votes/replies to the same peer share one
-  /// scatter-gather sendmsg. Max-defer bound: a peer whose unflushed
-  /// backlog reaches this many bytes flushes immediately instead of
-  /// waiting for the tick. 0 disables coalescing (flush on every send).
-  std::size_t coalesce_max_defer_bytes = 256u << 10;
   /// Ingress batching: per-epoll-wake budget on bytes read from one
   /// connection. A connection with more pending data than this resumes on
   /// the next wake (level-triggered re-arm), so one hot peer cannot
@@ -103,13 +96,9 @@ class TcpTransport final : public FdHandler {
 
   /// Queues `payload` to `to`. Loop thread only. Self-sends deliver via a
   /// posted callback (the local hop, like the simulator's loopback path).
-  /// With coalescing on, the frame reaches the kernel at the end of the
-  /// current loop iteration (or sooner past the max-defer bound).
+  /// The frame reaches the kernel at the end of the current loop
+  /// iteration (or sooner, once the peer's backlog passes 256 KiB).
   void send(std::uint32_t to, Payload payload);
-
-  /// Escape hatch: flushes every dirty peer immediately instead of
-  /// waiting for the end-of-iteration tick. Loop thread only.
-  void flush_now();
 
   /// End-of-iteration hook (registered with the loop at construction):
   /// flushes all peers send() marked dirty this iteration.

@@ -69,8 +69,8 @@ ReplicaHostConfig replica_host_config(const ClusterConfig& config,
                                       ReplicaId id);
 ClientProcessConfig client_process_config(const ClusterConfig& config,
                                           ClientId id);
-/// The cluster's signature suite. Suites built from one seed are identical,
-/// so a backend may hold one per replica.
+/// The cluster's signature suite, shared by all its replicas on either
+/// backend.
 std::unique_ptr<crypto::SignatureSuite> make_suite(
     const ClusterConfig& config);
 /// Client `c` starts this long after the replicas: staggered, because

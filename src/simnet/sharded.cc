@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "crypto/signer.h"
-
 namespace marlin::sim {
 
 thread_local ShardedSimulator::Shard* ShardedSimulator::tls_shard_ = nullptr;
@@ -63,9 +61,6 @@ ShardedSimulator::ShardedSimulator(const Config& config)
   }
   workers_ = std::min(workers, config.shards);
   if (workers_ > 1) {
-    // The process-wide tag memoization must take its locked path while
-    // shard workers verify signatures concurrently.
-    crypto::set_parallel_crypto(true);
     threads_.reserve(workers_);
     for (std::uint32_t w = 0; w < workers_; ++w) {
       threads_.emplace_back([this] { worker_main(); });

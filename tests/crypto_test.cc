@@ -4,6 +4,9 @@
 // quorum-certificate aggregation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "common/rng.h"
 #include "crypto/aggregate.h"
 #include "crypto/bigint.h"
@@ -498,6 +501,69 @@ INSTANTIATE_TEST_SUITE_P(EcdsaAndFast, SuiteTest,
                          [](const auto& info) {
                            return info.param ? "Ecdsa" : "Fast";
                          });
+
+// Everything a replica asks of its cluster's suite, recorded: every
+// signer's signature over each message, each verify, a SigGroup verify
+// and a threshold combine + verify per message.
+struct SuiteTranscript {
+  std::vector<Bytes> sigs;
+  std::vector<Bytes> combined;
+  std::vector<bool> verdicts;
+  bool operator==(const SuiteTranscript&) const = default;
+};
+
+SuiteTranscript run_suite(const SignatureSuite& suite, int messages) {
+  constexpr std::uint32_t kQuorum = 3;
+  SuiteTranscript out;
+  for (int m = 0; m < messages; ++m) {
+    const Bytes msg = to_bytes("block " + std::to_string(m));
+    std::vector<PartialSig> parts;
+    std::vector<std::pair<ReplicaId, Bytes>> pairs;
+    for (ReplicaId r = 0; r < suite.n(); ++r) {
+      const Bytes sig = suite.signer(r)->sign(msg);
+      out.verdicts.push_back(suite.verifier().verify(r, msg, sig));
+      out.sigs.push_back(sig);
+      parts.push_back(PartialSig{r, sig});
+      pairs.emplace_back(r, sig);
+    }
+    const auto group = SigGroup::combine(parts, kQuorum);
+    out.verdicts.push_back(group.has_value() &&
+                           group->verify(suite.verifier(), msg, kQuorum));
+    const auto combined = suite.threshold_combine(msg, pairs, kQuorum);
+    out.verdicts.push_back(combined.has_value() &&
+                           suite.threshold_verify(msg, *combined));
+    out.combined.push_back(combined.value_or(Bytes{}));
+  }
+  return out;
+}
+
+// A suite holds no mutable state, so one instance serves every replica
+// thread of a cluster: concurrent use yields what a single thread, and a
+// fresh suite from the same seed, yield.
+TEST(SignatureSuite, OneSuiteSharedAcrossThreads) {
+  for (const bool ecdsa : {false, true}) {
+    SCOPED_TRACE(ecdsa ? "ecdsa" : "fast");
+    const auto make = [ecdsa] {
+      return ecdsa ? make_ecdsa_suite(4, to_bytes("shared"))
+                   : make_fast_suite(4, to_bytes("shared"));
+    };
+    const int messages = ecdsa ? 2 : 64;
+    const auto shared = make();
+    const SuiteTranscript single = run_suite(*shared, messages);
+    EXPECT_EQ(single, run_suite(*make(), messages));
+    for (const bool verdict : single.verdicts) EXPECT_TRUE(verdict);
+
+    std::vector<SuiteTranscript> got(4);
+    std::vector<std::thread> threads;
+    for (SuiteTranscript& out : got) {
+      threads.emplace_back([&shared, &out, messages] {
+        out = run_suite(*shared, messages);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const SuiteTranscript& out : got) EXPECT_EQ(out, single);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // SigGroup aggregation

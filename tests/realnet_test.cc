@@ -362,35 +362,6 @@ TEST(TcpTransport, CoalescesBurstIntoFewFlushes) {
   }
 }
 
-// coalesce_max_defer_bytes=0 must fall back to write-per-send (the escape
-// hatch for latency-critical configs) with identical delivery.
-TEST(TcpTransport, CoalescingDisabledStillDelivers) {
-  TransportConfig tc;
-  tc.coalesce_max_defer_bytes = 0;
-  TransportNode a(0, tc), b(1);
-  std::mutex mu;
-  std::size_t got = 0;
-  b.transport->set_handler([&](std::uint32_t, Payload) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++got;
-  });
-  a.transport->set_peer(1, Endpoint{"127.0.0.1", b.port});
-  a.run();
-  b.run();
-  constexpr int kFrames = 64;
-  a.loop.post([&] {
-    for (int i = 0; i < kFrames; ++i) {
-      a.transport->send(1, Payload(Bytes{4, static_cast<std::uint8_t>(i)}));
-    }
-  });
-  ASSERT_TRUE(eventually(Duration::seconds(5), [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    return got == kFrames;
-  }));
-  a.stop();
-  b.stop();
-}
-
 // Per-wake ingress budgets: with budgets far smaller than the burst, the
 // receiver needs many epoll wakes (level-triggered re-fires) but must
 // still deliver every frame exactly once, in order.
