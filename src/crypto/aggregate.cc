@@ -71,13 +71,4 @@ Result<SigGroup> SigGroup::decode(Reader& r) {
   return out;
 }
 
-VerifyCost sig_group_cost(std::uint32_t k) {
-  return VerifyCost{k, 0};
-}
-
-VerifyCost sim_threshold_cost() {
-  // BLS verification: two pairings.
-  return VerifyCost{0, 2};
-}
-
 }  // namespace marlin::crypto

@@ -53,17 +53,4 @@ struct SigGroup {
   bool operator==(const SigGroup&) const = default;
 };
 
-/// Counters the metrology layer uses to price a verification.
-struct VerifyCost {
-  std::uint32_t signature_checks = 0;  // conventional public-key ops
-  std::uint32_t pairings = 0;          // pairing ops (threshold-sig mode)
-};
-
-/// Cost (in checks) of verifying a SigGroup of k partials: k conventional
-/// signature verifications, zero pairings.
-VerifyCost sig_group_cost(std::uint32_t k);
-
-/// Cost of verifying one simulated pairing-based threshold signature.
-VerifyCost sim_threshold_cost();
-
 }  // namespace marlin::crypto

@@ -3,77 +3,23 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/block_index.h"
+#include "obs/export.h"
+
 namespace marlin::obs {
 
 namespace {
 
-// Wire MsgKind values for matching kMsgDelivered events (mirrors simnet's
-// kind table; obs stays below the types layer).
-constexpr std::uint8_t kKindProposal = 3;
-constexpr std::uint8_t kKindVote = 4;
-constexpr std::uint8_t kKindQcNotice = 5;
-
-// types::Phase wire value for PRECOMMIT — present only in HotStuff's
-// three-phase pipeline, which is how the analyzer tells the shapes apart.
-constexpr std::uint8_t kPhasePreCommit = 2;
-
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 double ms(Duration d) { return d.as_millis_f(); }
 double ns_to_ms(double ns) { return ns / 1e6; }
 
-struct Delivered {
-  TimePoint at;
-  std::uint32_t to;
-  std::uint32_t from;
-  std::uint8_t kind;
-  std::uint64_t queue_ns;
-  std::uint64_t transit_ns;
-};
-
-struct VoteRecv {
-  std::uint64_t seq;
-  TimePoint at;
-  std::uint32_t sender;
-};
-
-struct BlockAgg {
-  std::uint64_t first_seq = 0;
-  ViewNumber view = 0;
-  Height height = 0;
-  bool proposed = false;
-  std::uint32_t leader = kNoNode;
-  TimePoint prop_at;
-  bool batch = false;
-  Duration batch_wait;
-  // First kVoteSent per (phase, voter).
-  std::map<std::pair<std::uint8_t, std::uint32_t>, TimePoint> vote_sent;
-  // kVoteReceived per phase, in sequence order.
-  std::map<std::uint8_t, std::vector<VoteRecv>> vote_recv;
-  struct Qc {
-    std::uint8_t phase;
-    TimePoint at;
-    std::uint32_t node;
-    std::uint64_t seq;
-  };
-  std::vector<Qc> qcs;
-  bool committed = false;
-  TimePoint commit_at;
-  std::uint32_t commit_node = kNoNode;
-};
-
 // Latest delivery of a `kind` frame from -> to no later than `end`.
-const Delivered* match_delivery(const std::vector<Delivered>& deliveries,
-                                std::uint32_t from, std::uint32_t to,
-                                std::uint8_t kind, TimePoint end) {
+const BlockIndex::Delivery* match_delivery(
+    const std::vector<BlockIndex::Delivery>& deliveries, std::uint32_t from,
+    std::uint32_t to, std::uint8_t kind, TimePoint end) {
   const auto hi = std::upper_bound(
       deliveries.begin(), deliveries.end(), end,
-      [](TimePoint t, const Delivered& d) { return t < d.at; });
+      [](TimePoint t, const BlockIndex::Delivery& d) { return t < d.at; });
   for (auto it = hi; it != deliveries.begin();) {
     --it;
     if (it->to == to && it->from == from && it->kind == kind) return &*it;
@@ -85,14 +31,15 @@ const Delivered* match_delivery(const std::vector<Delivered>& deliveries,
 // frame and sets the dominant component. Unmatched edges count entirely
 // as wire time.
 void attribute_edge(CriticalPathEdge& e,
-                    const std::vector<Delivered>& deliveries,
+                    const std::vector<BlockIndex::Delivery>& deliveries,
                     std::uint8_t kind) {
   if (!e.network) {
     e.cpu = e.duration();
     e.dominant = CostKind::kCrypto;
     return;
   }
-  const Delivered* d = match_delivery(deliveries, e.from, e.to, kind, e.end);
+  const BlockIndex::Delivery* d =
+      match_delivery(deliveries, e.from, e.to, kind, e.end);
   if (d == nullptr || d->at < e.begin) {
     e.wire = e.duration();
     e.dominant = CostKind::kLink;
@@ -146,110 +93,50 @@ std::vector<std::string> table_order(
 
 std::vector<CriticalPath> critical_paths(
     const std::vector<TraceEvent>& events) {
-  std::map<std::uint64_t, BlockAgg> aggs;
-  std::vector<std::uint64_t> order;
-  std::vector<Delivered> deliveries;
-
-  auto touch = [&](const TraceEvent& e) -> BlockAgg& {
-    auto [it, inserted] = aggs.try_emplace(e.block);
-    if (inserted) {
-      it->second.first_seq = e.seq;
-      order.push_back(e.block);
-    }
-    BlockAgg& agg = it->second;
-    if (agg.view == 0) agg.view = e.view;
-    if (agg.height == 0) agg.height = e.height;
-    return agg;
-  };
-
-  for (const TraceEvent& e : events) {
-    switch (e.type) {
-      case EventType::kProposalSent: {
-        if (e.block == 0) break;
-        BlockAgg& agg = touch(e);
-        if (!agg.proposed) {
-          agg.proposed = true;
-          agg.leader = e.node;
-          agg.prop_at = e.at;
-        }
-        break;
-      }
-      case EventType::kBatchDequeued: {
-        BlockAgg& agg = touch(e);
-        agg.batch = true;
-        agg.batch_wait = Duration::nanos(static_cast<std::int64_t>(e.b));
-        break;
-      }
-      case EventType::kVoteSent:
-        touch(e).vote_sent.try_emplace({e.phase, e.node}, e.at);
-        break;
-      case EventType::kVoteReceived:
-        touch(e).vote_recv[e.phase].push_back(
-            {e.seq, e.at, static_cast<std::uint32_t>(e.a)});
-        break;
-      case EventType::kQcFormed:
-        touch(e).qcs.push_back({e.phase, e.at, e.node, e.seq});
-        break;
-      case EventType::kCommit: {
-        BlockAgg& agg = touch(e);
-        if (!agg.committed) {
-          agg.committed = true;
-          agg.commit_at = e.at;
-          agg.commit_node = e.node;
-        }
-        break;
-      }
-      case EventType::kMsgDelivered:
-        deliveries.push_back({e.at, e.node, static_cast<std::uint32_t>(e.a),
-                              e.kind, e.b, e.c});
-        break;
-      default:
-        break;
-    }
-  }
+  const BlockIndex index = index_blocks(events);
+  const std::vector<BlockIndex::Delivery>& deliveries = index.deliveries;
 
   std::vector<CriticalPath> out;
-  for (const std::uint64_t id : order) {
-    const BlockAgg& agg = aggs.at(id);
-    if (!agg.proposed || agg.qcs.empty()) continue;
+  for (const BlockIndex::Block& blk : index.blocks) {
+    if (!blk.proposed || blk.qcs.empty()) continue;
 
     CriticalPath p;
-    p.block = id;
-    p.view = agg.view;
-    p.height = agg.height;
-    for (const BlockAgg::Qc& qc : agg.qcs) {
+    p.block = blk.id;
+    p.view = blk.view;
+    p.height = blk.height;
+    for (const BlockIndex::Qc& qc : blk.qcs) {
       if (qc.phase == kPhasePreCommit) p.three_phase = true;
     }
 
     bool complete = true;
-    if (agg.batch && agg.batch_wait > Duration::zero()) {
+    if (blk.batch_wait > Duration::zero()) {
       CriticalPathEdge e;
       e.label = "txpool.wait";
-      e.from = e.to = agg.leader;
-      e.begin = agg.prop_at - agg.batch_wait;
-      e.end = agg.prop_at;
+      e.from = e.to = blk.leader;
+      e.begin = blk.prop_at - blk.batch_wait;
+      e.end = blk.prop_at;
       e.queue = e.duration();
       e.dominant = CostKind::kQueue;
       p.edges.push_back(std::move(e));
     }
 
-    TimePoint prev_t = agg.prop_at;
-    std::uint32_t prev_node = agg.leader;
+    TimePoint prev_t = blk.prop_at;
+    std::uint32_t prev_node = blk.leader;
     bool first_qc = true;
-    for (const BlockAgg::Qc& qc : agg.qcs) {
+    for (const BlockIndex::Qc& qc : blk.qcs) {
       // The vote that completed the quorum: last one received before the
       // QC formed.
-      const VoteRecv* completing = nullptr;
-      auto vr_it = agg.vote_recv.find(qc.phase);
-      if (vr_it != agg.vote_recv.end()) {
-        for (const VoteRecv& vr : vr_it->second) {
+      const BlockIndex::VoteRecv* completing = nullptr;
+      auto vr_it = blk.vote_recv.find(qc.phase);
+      if (vr_it != blk.vote_recv.end()) {
+        for (const BlockIndex::VoteRecv& vr : vr_it->second) {
           if (vr.seq < qc.seq) completing = &vr;
         }
       }
       auto vs_it = completing == nullptr
-                       ? agg.vote_sent.end()
-                       : agg.vote_sent.find({qc.phase, completing->sender});
-      if (completing == nullptr || vs_it == agg.vote_sent.end() ||
+                       ? blk.vote_sent.end()
+                       : blk.vote_sent.find({qc.phase, completing->sender});
+      if (completing == nullptr || vs_it == blk.vote_sent.end() ||
           vs_it->second < prev_t) {
         complete = false;
         break;
@@ -285,14 +172,14 @@ std::vector<CriticalPath> critical_paths(
       first_qc = false;
     }
 
-    if (complete && agg.committed && agg.commit_at >= prev_t) {
+    if (complete && blk.committed && blk.first_commit >= prev_t) {
       CriticalPathEdge e;
       e.label = "decide.out";
       e.from = prev_node;
-      e.to = agg.commit_node;
+      e.to = blk.commit_node;
       e.begin = prev_t;
-      e.end = agg.commit_at;
-      e.network = agg.commit_node != prev_node;
+      e.end = blk.first_commit;
+      e.network = blk.commit_node != prev_node;
       attribute_edge(e, deliveries, kKindQcNotice);
       p.edges.push_back(std::move(e));
     } else {

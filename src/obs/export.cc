@@ -21,13 +21,6 @@ std::string fmt_f(double v) {
   return buf;
 }
 
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 // Metric names and labels are code-controlled identifiers ("a.b{k=v}"),
 // but escape the two JSON-breaking characters anyway.
 std::string json_escape(const std::string& s) {
@@ -62,7 +55,28 @@ void append_sizes_json(std::string& out, const ValueHistogram& h) {
   out += "}";
 }
 
+bool json_field_u64(const std::string& line, const std::string& key,
+                    std::uint64_t* out) {
+  const std::string needle = "\"" + key + "\":";
+  const auto pos = line.find(needle);
+  if (pos == std::string::npos) return false;
+  const char* start = line.c_str() + pos + needle.size();
+  char* end = nullptr;
+  // strtoll, not strtoull: "node":-1 must round-trip to kNoNode.
+  const long long v = std::strtoll(start, &end, 10);
+  if (end == start) return false;
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
 }  // namespace
+
+std::string fmt_hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
 
 std::string event_to_json(const TraceEvent& e) {
   // Every field is always emitted, in a fixed order, so consumers can use
@@ -99,24 +113,6 @@ std::string trace_to_jsonl(const std::vector<TraceEvent>& events) {
     out += '\n';
   }
   return out;
-}
-
-void write_trace_jsonl(const TraceSink& sink, std::ostream& out) {
-  out << trace_to_jsonl(sink);
-}
-
-bool json_field_u64(const std::string& line, const std::string& key,
-                    std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  // strtoll, not strtoull: "node":-1 must round-trip to kNoNode.
-  const long long v = std::strtoll(start, &end, 10);
-  if (end == start) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
 }
 
 bool json_field_str(const std::string& line, const std::string& key,

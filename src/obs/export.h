@@ -23,13 +23,13 @@ std::string trace_to_jsonl(const TraceSink& sink);
 /// Same format from an already-materialized event list (e.g. the sharded
 /// engine's deterministic cross-shard merge).
 std::string trace_to_jsonl(const std::vector<TraceEvent>& events);
-void write_trace_jsonl(const TraceSink& sink, std::ostream& out);
 
-/// Minimal field extraction from an event_to_json line — the parser
-/// trace_inspect and tests use (we only ever parse our own output).
-/// Returns false when the key is absent.
-bool json_field_u64(const std::string& line, const std::string& key,
-                    std::uint64_t* out);
+/// 16-digit lowercase hex, the form every export prints block ids in.
+std::string fmt_hex64(std::uint64_t v);
+
+/// Minimal string-field extraction from a one-line JSON object (an
+/// event_to_json line, a span-export line). Returns false when the key is
+/// absent.
 bool json_field_str(const std::string& line, const std::string& key,
                     std::string* out);
 /// Parses one JSONL line back into an event; false on malformed input.

@@ -173,7 +173,6 @@ class Cluster : public ClusterMetrology {
   /// Prefer expressing faults in the config's FaultPlan; these imperative
   /// hooks remain for interactive exploration.
   void crash_replica(ReplicaId i) { net_->set_node_down(i, true); }
-  void recover_replica(ReplicaId i) { net_->set_node_down(i, false); }
   /// Crash-and-revive from disk: rebuilds replica i's protocol instance
   /// from its persisted consensus state (WAL replay + checkpoint) and
   /// reconnects it. With `wipe`, the disk is erased first (amnesia) — the

@@ -636,12 +636,6 @@ TEST_F(SigGroupTest, WireRoundTrip) {
   EXPECT_EQ(back.value(), *group);
 }
 
-TEST(VerifyCostModel, Counts) {
-  EXPECT_EQ(sig_group_cost(5).signature_checks, 5u);
-  EXPECT_EQ(sig_group_cost(5).pairings, 0u);
-  EXPECT_EQ(sim_threshold_cost().pairings, 2u);
-}
-
 }  // namespace
 }  // namespace marlin::crypto
 

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/critical_path.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "faults/fault_plan.h"
 #include "runtime/cluster.h"
 
 namespace marlin {
@@ -164,6 +166,46 @@ TEST(Spans, ReportMentionsRoundTripCounts) {
   const std::string report = obs::critical_path_report(events);
   EXPECT_NE(report.find("network round trips: 2"), std::string::npos);
   EXPECT_NE(report.find("== marlin (two-phase) =="), std::string::npos);
+}
+
+// FNV-1a over the analysis output: a compact pin for bytes that must not
+// move when the span and critical-path analyses are refactored.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Spans, AnalysisBytesArePinned) {
+  ClusterConfig crash = tiny_config(ProtocolKind::kMarlin);
+  crash.consensus.pacemaker.base_timeout = Duration::millis(600);
+  crash.faults.actions.push_back(
+      faults::FaultAction::crash_leader(Duration::seconds(2)));
+  const struct {
+    const char* name;
+    ClusterConfig cfg;
+    int secs;
+    std::uint64_t spans_digest;
+    std::uint64_t report_digest;
+  } runs[] = {
+      {"marlin", tiny_config(ProtocolKind::kMarlin), 3, 0xef46f55bc2e0180eull,
+       0x14a788ae1029d3adull},
+      {"hotstuff", tiny_config(ProtocolKind::kHotStuff), 3,
+       0x00e6276e1282a751ull, 0xd59226be410f963bull},
+      {"crash-leader", crash, 4, 0x1d53e5bbb0eb481dull, 0x58c0dc0cb60b7361ull},
+  };
+  for (const auto& run : runs) {
+    obs::TraceSink sink{1u << 17};
+    const auto events = run_traced(run.cfg, run.secs, &sink);
+    EXPECT_EQ(fnv1a(obs::spans_to_chrome_json(obs::build_spans(events))),
+              run.spans_digest)
+        << run.name;
+    EXPECT_EQ(fnv1a(obs::critical_path_report(events)), run.report_digest)
+        << run.name;
+  }
 }
 
 }  // namespace

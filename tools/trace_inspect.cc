@@ -273,13 +273,6 @@ void usage() {
       "the events they need to walk.\n");
 }
 
-std::string block_hex(std::uint64_t block) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(block));
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -355,7 +348,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (!block_prefix.empty() &&
-        block_hex(e.block).rfind(block_prefix, 0) != 0) {
+        obs::fmt_hex64(e.block).rfind(block_prefix, 0) != 0) {
       continue;
     }
     if (have_view_filter && e.view != view_filter) continue;
@@ -380,10 +373,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (need_buffer) {
-    // Traces are written in seq order, but be robust to concatenated files.
+    // The analyses walk events in time order. Written traces already are
+    // (a metal trace is a time-sorted merge whose seq restarts per node, so
+    // seq order would interleave nodes out of time); the stable sort only
+    // repairs concatenated files.
     std::stable_sort(events.begin(), events.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.seq < b.seq;
+                       return a.at < b.at;
                      });
   }
 
