@@ -7,6 +7,7 @@
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/sim_time.h"
 #include "types/block.h"
@@ -18,7 +19,7 @@ class TxPool {
   /// Adds an operation; ignored when already pooled or already executed.
   /// `at` is the enqueue time, kept only for pool-wait attribution.
   void add(types::Operation op, TimePoint at = TimePoint::origin()) {
-    const std::uint64_t key = op_key(op);
+    const OpKey key = op_key(op);
     if (pooled_.count(key) > 0) return;
     auto it = executed_.find(op.client);
     if (it != executed_.end() && op.request <= it->second) return;
@@ -91,14 +92,21 @@ class TxPool {
     }
   }
 
-  static std::uint64_t op_key(const types::Operation& op) {
-    // Clients issue sequential ids; (client, request) packs into 64 bits
-    // for the life of any experiment.
-    return static_cast<std::uint64_t>(op.client) << 40 | op.request;
+  // The full (client, request) pair: request ids arrive unvalidated in
+  // client frames, so no packing of the two into 64 bits is collision-free.
+  using OpKey = std::pair<ClientId, RequestId>;
+  struct OpKeyHash {
+    std::size_t operator()(const OpKey& k) const {
+      return std::hash<std::uint64_t>{}(
+          static_cast<std::uint64_t>(k.first) << 40 ^ k.second);
+    }
+  };
+  static OpKey op_key(const types::Operation& op) {
+    return {op.client, op.request};
   }
 
   std::deque<Entry> queue_;
-  std::unordered_set<std::uint64_t> pooled_;
+  std::unordered_set<OpKey, OpKeyHash> pooled_;
   std::unordered_map<ClientId, RequestId> executed_;
   TimePoint last_batch_oldest_;
 };

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -43,6 +44,48 @@ void compress(std::uint32_t state[8], const std::uint8_t* data,
   if (hw) return detail::compress_sha_ni(state, data, nblocks);
 #endif
   detail::compress_portable(state, data, nblocks);
+}
+
+// Big-endian stores as one whole-word store each: the next compression
+// loads these bytes 16 at a time, and a load the store buffer cannot
+// forward from one store (it spans byte stores) stalls until they retire.
+void store_be32(std::uint8_t* at, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(at, &v, sizeof v);
+}
+
+/// The 8-byte big-endian message bit length that ends SHA-256 padding.
+void put_bit_len(std::uint8_t* at, std::uint64_t bit_len) {
+  if constexpr (std::endian::native == std::endian::little) {
+    bit_len = __builtin_bswap64(bit_len);
+  }
+  std::memcpy(at, &bit_len, sizeof bit_len);
+}
+
+/// The big-endian digest of a finished state.
+Hash256 digest_of(const std::uint32_t state[8]) {
+  Hash256 out;
+  for (int i = 0; i < 8; ++i) store_be32(out.data.data() + 4 * i, state[i]);
+  return out;
+}
+
+/// Finishes a hash whose first 64 bytes are already absorbed into `state`
+/// (an HMAC midstate): absorbs `data` and the padding, straight from the
+/// caller's bytes, with no Sha256 object to copy.
+void finish_after_block(std::uint32_t state[8], BytesView data) {
+  const std::size_t whole = data.size() / 64;
+  if (whole > 0) compress(state, data.data(), whole);
+  const std::size_t tail = data.size() - whole * 64;
+  // The tail, 0x80 and the length fit one block below 56 tail bytes.
+  const std::size_t blocks = tail < 56 ? 1 : 2;
+  std::uint8_t last[128];
+  if (tail > 0) std::memcpy(last, data.data() + whole * 64, tail);
+  last[tail] = 0x80;
+  std::memset(last + tail + 1, 0, blocks * 64 - 8 - tail - 1);
+  put_bit_len(last + blocks * 64 - 8, (64 + data.size()) * 8);
+  compress(state, last, blocks);
 }
 
 }  // namespace
@@ -222,19 +265,9 @@ Hash256 Sha256::finish() {
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
-  for (int i = 0; i < 8; ++i) {
-    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
+  put_bit_len(buffer_.data() + 56, bit_len);
   compress(state_.data(), buffer_.data(), 1);
-
-  Hash256 out;
-  for (int i = 0; i < 8; ++i) {
-    out.data[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out.data[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out.data[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out.data[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  return digest_of(state_.data());
 }
 
 Hash256 Sha256::digest(BytesView data) {
@@ -257,19 +290,28 @@ HmacKey::HmacKey(BytesView key) {
   }
 
   std::array<std::uint8_t, 64> pad;
+  std::memcpy(inner_.data(), kInit, sizeof kInit);
   for (int i = 0; i < 64; ++i) pad[i] = k_block[i] ^ 0x36;
-  inner_.update(BytesView(pad.data(), pad.size()));
+  compress(inner_.data(), pad.data(), 1);
+  std::memcpy(outer_.data(), kInit, sizeof kInit);
   for (int i = 0; i < 64; ++i) pad[i] = k_block[i] ^ 0x5c;
-  outer_.update(BytesView(pad.data(), pad.size()));
+  compress(outer_.data(), pad.data(), 1);
 }
 
 Hash256 HmacKey::mac(BytesView message) const {
-  Sha256 inner = inner_;
-  inner.update(message);
-  const Hash256 inner_digest = inner.finish();
-  Sha256 outer = outer_;
-  outer.update(inner_digest.view());
-  return outer.finish();
+  std::array<std::uint32_t, 8> inner = inner_;
+  finish_after_block(inner.data(), message);
+  // The outer hash's one block: the inner digest, then the padding of a
+  // 96-byte message, stored whole so the compression's loads forward.
+  static constexpr std::uint8_t kOuterPad[32] = {
+      0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x03, 0x00};
+  std::uint8_t block[64];
+  for (int i = 0; i < 8; ++i) store_be32(block + 4 * i, inner[i]);
+  std::memcpy(block + 32, kOuterPad, sizeof kOuterPad);
+  std::array<std::uint32_t, 8> outer = outer_;
+  compress(outer.data(), block, 1);
+  return digest_of(outer.data());
 }
 
 }  // namespace marlin::crypto

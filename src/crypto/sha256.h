@@ -50,7 +50,9 @@ Hash256 hmac_sha256(BytesView key, BytesView message);
 
 /// Precomputed HMAC-SHA256 key: the ipad/opad block compressions are paid
 /// once at construction, so each mac() costs only the message and
-/// finalization compressions. Output is byte-identical to hmac_sha256().
+/// finalization compressions, run straight from the two midstates (a
+/// message under 56 bytes costs two). Output is byte-identical to
+/// hmac_sha256().
 class HmacKey {
  public:
   HmacKey() = default;
@@ -59,8 +61,8 @@ class HmacKey {
   Hash256 mac(BytesView message) const;
 
  private:
-  Sha256 inner_;  // state after absorbing key ^ ipad
-  Sha256 outer_;  // state after absorbing key ^ opad
+  std::array<std::uint32_t, 8> inner_{};  // state after key ^ ipad
+  std::array<std::uint32_t, 8> outer_{};  // state after key ^ opad
 };
 
 /// std::hash adapter so Hash256 keys work in unordered containers.

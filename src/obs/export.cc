@@ -1,13 +1,15 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 namespace marlin::obs {
 
@@ -55,19 +57,48 @@ void append_sizes_json(std::string& out, const ValueHistogram& h) {
   out += "}";
 }
 
-bool json_field_u64(const std::string& line, const std::string& key,
-                    std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  // strtoll, not strtoull: "node":-1 must round-trip to kNoNode.
-  const long long v = std::strtoll(start, &end, 10);
-  if (end == start) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
+// A left-to-right walk over one event_to_json line: each field is matched
+// where the fixed order puts it, never searched for from the line start.
+class LineCursor {
+ public:
+  explicit LineCursor(const std::string& line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// Consumes `lit` if the line continues with it.
+  bool lit(std::string_view lit) {
+    if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
+        std::memcmp(p_, lit.data(), lit.size()) != 0) {
+      return false;
+    }
+    p_ += lit.size();
+    return true;
+  }
+
+  /// A decimal integer; a leading '-' negates it modulo 2^64, so
+  /// "node":-1 round-trips to kNoNode.
+  bool integer(std::uint64_t* out) {
+    const bool minus = p_ < end_ && *p_ == '-';
+    const auto [next, ec] = std::from_chars(p_ + minus, end_, *out);
+    if (ec != std::errc()) return false;
+    if (minus) *out = 0 - *out;
+    p_ = next;
+    return true;
+  }
+
+  /// The characters up to the next '"', which is consumed too.
+  bool until_quote(std::string_view* out) {
+    const void* q = std::memchr(p_, '"', static_cast<std::size_t>(end_ - p_));
+    if (q == nullptr) return false;
+    const char* close = static_cast<const char*>(q);
+    *out = std::string_view(p_, static_cast<std::size_t>(close - p_));
+    p_ = close + 1;
+    return true;
+  }
+
+ private:
+  const char* p_;
+  const char* end_;
+};
 
 }  // namespace
 
@@ -128,36 +159,38 @@ bool json_field_str(const std::string& line, const std::string& key,
 }
 
 bool event_from_json(const std::string& line, TraceEvent* out) {
-  TraceEvent e;
-  std::string type_name;
+  LineCursor in(line);
   std::uint64_t seq = 0, t_ns = 0, node = 0, view = 0, height = 0;
-  std::uint64_t kind = 0, a = 0, b = 0;
-  std::string block_hex, phase_name;
-  if (!json_field_u64(line, "seq", &seq) ||
-      !json_field_u64(line, "t_ns", &t_ns) ||
-      !json_field_u64(line, "node", &node) ||
-      !json_field_str(line, "type", &type_name) ||
-      !json_field_u64(line, "view", &view) ||
-      !json_field_u64(line, "height", &height) ||
-      !json_field_str(line, "block", &block_hex) ||
-      !json_field_str(line, "phase", &phase_name) ||
-      !json_field_u64(line, "kind", &kind) ||
-      !json_field_u64(line, "a", &a) || !json_field_u64(line, "b", &b)) {
+  std::uint64_t kind = 0, a = 0, b = 0, c = 0;
+  std::string_view type_name, block_hex, phase_name;
+  if (!in.lit("{\"seq\":") || !in.integer(&seq) ||
+      !in.lit(",\"t_ns\":") || !in.integer(&t_ns) ||
+      !in.lit(",\"node\":") || !in.integer(&node) ||
+      !in.lit(",\"type\":\"") || !in.until_quote(&type_name) ||
+      !in.lit(",\"view\":") || !in.integer(&view) ||
+      !in.lit(",\"height\":") || !in.integer(&height) ||
+      !in.lit(",\"block\":\"") || !in.until_quote(&block_hex) ||
+      !in.lit(",\"phase\":\"") || !in.until_quote(&phase_name) ||
+      !in.lit(",\"kind\":") || !in.integer(&kind) ||
+      !in.lit(",\"a\":") || !in.integer(&a) ||
+      !in.lit(",\"b\":") || !in.integer(&b)) {
     return false;
   }
   // `c` was added after the first trace format; default 0 keeps old
   // traces parseable.
-  std::uint64_t c = 0;
-  json_field_u64(line, "c", &c);
+  if (in.lit(",\"c\":") && !in.integer(&c)) return false;
+  if (!in.lit("}")) return false;
   const EventType type = event_type_from_name(type_name);
   if (type == EventType::kCount) return false;
+  TraceEvent e;
   e.seq = seq;
   e.at = TimePoint::from_nanos(static_cast<std::int64_t>(t_ns));
   e.node = static_cast<std::uint32_t>(node);
   e.type = type;
   e.view = view;
   e.height = height;
-  e.block = std::strtoull(block_hex.c_str(), nullptr, 16);
+  std::from_chars(block_hex.data(), block_hex.data() + block_hex.size(),
+                  e.block, 16);
   e.phase = kNoPhase;
   if (phase_name != "-") {
     for (std::uint8_t p = 0; p < 5; ++p) {

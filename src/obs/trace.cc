@@ -25,7 +25,7 @@ const char* event_type_name(EventType t) {
   return i < kEventTypeCount ? kEventNames[i] : "unknown";
 }
 
-EventType event_type_from_name(const std::string& name) {
+EventType event_type_from_name(std::string_view name) {
   for (std::size_t i = 0; i < kEventTypeCount; ++i) {
     if (name == kEventNames[i]) return static_cast<EventType>(i);
   }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.h"
@@ -69,7 +70,7 @@ static_assert(kEventTypeCount <= 64);
 const char* event_type_name(EventType t);
 
 /// Inverse of event_type_name; returns kCount for unknown names.
-EventType event_type_from_name(const std::string& name);
+EventType event_type_from_name(std::string_view name);
 
 /// Phase names for the `phase` field. Values mirror types::Phase (a wire
 /// constant); obs keeps its own table so it depends only on common/.

@@ -4,13 +4,19 @@
 // records end-to-end latency, and retransmits on timeout (covers leader
 // failure / dropped batches).
 //
+// Every op gets one reply from each of the n replicas, so the reply path is
+// kept flat: a request's acks are a short vector with one entry per distinct
+// result (one, when replicas agree), each holding a bitmap over replica ids
+// and its population count; the pending request owns its payload for
+// retransmission.
+//
 // A backend derives from it and supplies only the wire, the clock and the
 // timers (the protected seam): runtime::SimClient on the simulator, a
 // TcpTransport binding in realnet::RealCluster on metal.
 #pragma once
 
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/ids.h"
@@ -69,7 +75,9 @@ class ClientProcess {
  protected:
   /// `rng` feeds request payloads.
   ClientProcess(ClientProcessConfig config, Rng rng)
-      : config_(config), rng_(std::move(rng)) {}
+      : config_(config), rng_(std::move(rng)) {
+    pending_.reserve(config_.window);
+  }
 
   // -- the backend seam: clock, timers and wire ------------------------------
   virtual TimePoint now() const = 0;
@@ -79,9 +87,16 @@ class ClientProcess {
   virtual void transmit(std::uint32_t to, Payload wire) = 0;
 
  private:
+  /// The replicas that replied with one result to one request.
+  struct Ack {
+    Bytes result;
+    std::vector<std::uint64_t> voters;  // bit r: replica r sent `result`
+    std::uint32_t count = 0;            // bits set in `voters`
+  };
   struct Pending {
     TimePoint first_sent;
-    std::map<Bytes, std::set<ReplicaId>> acks_by_result;
+    Bytes payload;  // for retransmission
+    std::vector<Ack> acks;
     TimerHandle retransmit;
   };
 
@@ -91,8 +106,7 @@ class ClientProcess {
 
   ClientProcessConfig config_;
   RequestId next_request_ = 1;
-  std::map<RequestId, Pending> pending_;
-  std::map<RequestId, Bytes> payloads_;  // for retransmission
+  std::unordered_map<RequestId, Pending> pending_;
   std::vector<types::Operation> burst_;  // requests awaiting one flush
   WindowedCounter completed_;
   LatencyHistogram latency_;

@@ -1,5 +1,7 @@
 #include "types/block.h"
 
+#include <algorithm>
+
 namespace marlin::types {
 
 void Operation::encode(Writer& w) const {
@@ -8,12 +10,22 @@ void Operation::encode(Writer& w) const {
   w.bytes(payload);
 }
 
-Result<Operation> Operation::decode(Reader& r) {
-  Operation op;
-  if (Status s = r.u32(op.client); !s.is_ok()) return s;
-  if (Status s = r.u64(op.request); !s.is_ok()) return s;
-  if (Status s = r.bytes(op.payload); !s.is_ok()) return s;
-  return op;
+Status decode_ops(Reader& r, std::vector<Operation>& ops) {
+  std::uint64_t count = 0;
+  if (Status s = r.varint(count); !s.is_ok()) return s;
+  if (count > (1u << 22)) {
+    return error(ErrorCode::kCorruption, "oversized op batch");
+  }
+  // An op takes at least 13 bytes (client, request, empty payload), so a
+  // count the input cannot hold reserves no more than the input could.
+  ops.reserve(std::min<std::uint64_t>(count, r.remaining() / 13));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    Operation& op = ops.emplace_back();
+    if (Status s = r.u32(op.client); !s.is_ok()) return s;
+    if (Status s = r.u64(op.request); !s.is_ok()) return s;
+    if (Status s = r.bytes(op.payload); !s.is_ok()) return s;
+  }
+  return Status::ok();
 }
 
 std::size_t ops_wire_size(const std::vector<Operation>& ops) {
@@ -79,17 +91,7 @@ Result<Block> Block::decode(Reader& r, BlockSlices* slices) {
   if (Status s = r.u64(b.height); !s.is_ok()) return s;
   if (Status s = r.boolean(b.virtual_block); !s.is_ok()) return s;
   const std::size_t ops_begin = r.position();
-  std::uint64_t count = 0;
-  if (Status s = r.varint(count); !s.is_ok()) return s;
-  if (count > (1u << 22)) {
-    return error(ErrorCode::kCorruption, "oversized op batch");
-  }
-  b.ops.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Result<Operation> op = Operation::decode(r);
-    if (!op.is_ok()) return op.status();
-    b.ops.push_back(std::move(op).take());
-  }
+  if (Status s = decode_ops(r, b.ops); !s.is_ok()) return s;
   const std::size_t ops_end = r.position();
   Result<Justify> j = Justify::decode(r);
   if (!j.is_ok()) return j.status();

@@ -30,9 +30,12 @@ struct Operation {
   Bytes payload;
 
   void encode(Writer& w) const;
-  static Result<Operation> decode(Reader& r);
   bool operator==(const Operation&) const = default;
 };
+
+/// Decodes a varint-counted op batch (a block's or a client request's)
+/// into `ops`, each op straight into its slot.
+Status decode_ops(Reader& r, std::vector<Operation>& ops);
 
 /// Where a block's canonical encoding lies in the bytes it was coded
 /// from: header, op batch and justify, as [begin, end) offsets. Its digest

@@ -1,5 +1,7 @@
 #include "types/messages.h"
 
+#include <algorithm>
+
 namespace marlin::types {
 
 const char* phase_name(Phase p) {
@@ -20,17 +22,7 @@ void ClientRequestMsg::encode(Writer& w) const {
 
 Result<ClientRequestMsg> ClientRequestMsg::decode(Reader& r) {
   ClientRequestMsg m;
-  std::uint64_t count = 0;
-  if (Status s = r.varint(count); !s.is_ok()) return s;
-  if (count > (1u << 22)) {
-    return error(ErrorCode::kCorruption, "oversized request batch");
-  }
-  m.ops.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Result<Operation> op = Operation::decode(r);
-    if (!op.is_ok()) return op.status();
-    m.ops.push_back(std::move(op).take());
-  }
+  if (Status s = decode_ops(r, m.ops); !s.is_ok()) return s;
   return m;
 }
 
@@ -56,7 +48,8 @@ Result<ClientReplyMsg> ClientReplyMsg::decode(Reader& r) {
   if (count > (1u << 22)) {
     return error(ErrorCode::kCorruption, "oversized reply batch");
   }
-  m.requests.reserve(count);
+  // Reserve no more ids than the input can hold (8 bytes each).
+  m.requests.reserve(std::min<std::uint64_t>(count, r.remaining() / 8));
   for (std::uint64_t i = 0; i < count; ++i) {
     RequestId id = 0;
     if (Status s = r.u64(id); !s.is_ok()) return s;

@@ -894,6 +894,19 @@ TEST(TxPool, DeduplicatesByClientRequest) {
   EXPECT_EQ(pool.pending(), 2u);
 }
 
+// Request ids come unvalidated from client frames: no id may make one
+// client's op look like another's already-pooled op.
+TEST(TxPool, DistinctClientsNeverShareAKey) {
+  TxPool pool;
+  pool.add(op_of(0, (RequestId{1} << 40) + 5));
+  pool.add(op_of(1, 5));
+  EXPECT_EQ(pool.pending(), 2u);
+  auto batch = pool.next_batch(10);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[1].client, 1u);
+  EXPECT_EQ(batch[1].request, 5u);
+}
+
 TEST(TxPool, ExecutedWatermarkDropsStale) {
   TxPool pool;
   pool.mark_committed(op_of(1, 5));

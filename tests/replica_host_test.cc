@@ -393,5 +393,24 @@ TEST_F(ReplicaHostFrames, ClientDecodesRepliesOutOfTheFrame) {
   EXPECT_EQ(client.completed().total(), 1u);
 }
 
+TEST_F(ReplicaHostFrames, ReplyCountTheFrameCannotHoldAllocatesLittle) {
+  ClientProcessConfig cc;
+  cc.quorum = QuorumParams::for_f(kF);
+  BusClient client(clock_, cc);
+  // A 29-byte reply whose request count claims 4 Mi ids (the decoder's
+  // cap): reserving the claim would take 32 MiB.
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(types::MsgKind::kClientReply));
+  w.u32(0);
+  w.u32(1);
+  w.u64(1);
+  w.u64(1);
+  w.varint(1u << 22);
+  const Payload frame(std::move(w).take());
+  alloc_hook::reset();
+  client.handle_message(1, frame);
+  EXPECT_LT(alloc_hook::bytes(), 1024u);
+}
+
 }  // namespace
 }  // namespace marlin::runtime

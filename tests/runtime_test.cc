@@ -120,47 +120,88 @@ TEST(ClientRetransmit, NoRetransmissionsOnHealthyNetwork) {
   }
 }
 
-// A reply counts as the vote of the node that sent it: one Byzantine replica
-// claiming f+1 replica ids must not complete a request on its own.
-TEST(ClientQuorum, ForgedRepliesFromOneNodeLeaveTheRequestPending) {
-  ClusterConfig cfg;
-  cfg.f = 1;
-  cfg.clients.count = 1;
-  cfg.clients.window = 1;
-  sim::Simulator sim(cfg.seed);
-  Cluster cluster(sim, cfg);
-  // Replicas never see the request, so no honest replica replies.
-  const sim::NodeId client_node = cluster.n();
-  cluster.network().set_filter([client_node](sim::NodeId from, sim::NodeId) {
-    return from != client_node;
-  });
-  cluster.start();
-  sim.run_for(Duration::millis(100));
-  ClientProcess& client = cluster.client(0);
-  ASSERT_EQ(client.issued(), 1u);
+// A client whose one request no replica ever sees (f = 1, so the reply
+// quorum is 2): the only replies it gets are the ones a test injects.
+class ClientQuorum : public ::testing::Test {
+ protected:
+  ClientQuorum() : sim_(cfg().seed), cluster_(sim_, cfg()) {
+    cluster_.network().set_filter([client = node()](sim::NodeId from,
+                                                    sim::NodeId) {
+      return from != client;
+    });
+    cluster_.start();
+    sim_.run_for(Duration::millis(100));
+  }
 
-  auto reply = [](ReplicaId claimed) {
+  static ClusterConfig cfg() {
+    ClusterConfig c;
+    c.f = 1;
+    c.clients.count = 1;
+    c.clients.window = 1;
+    return c;
+  }
+  sim::NodeId node() const { return cluster_.n(); }
+  ClientProcess& client() { return cluster_.client(0); }
+
+  /// Node `from` replies to request 1, claiming to be replica `claimed`.
+  void reply(sim::NodeId from, ReplicaId claimed, std::uint8_t result) {
     types::ClientReplyMsg m;
     m.client = 0;
     m.replica = claimed;
     m.view = 1;
     m.height = 1;
-    m.result = Bytes(8, 0xab);
+    m.result = Bytes(8, result);
     m.requests = {1};
-    return types::make_envelope(types::MsgKind::kClientReply, m).serialize();
-  };
-  // Replica 3 answers under every replica id.
-  for (ReplicaId claimed = 0; claimed < cluster.n(); ++claimed) {
-    cluster.network().send(3, client_node, reply(claimed));
+    cluster_.network().send(
+        from, node(),
+        types::make_envelope(types::MsgKind::kClientReply, m).serialize());
+    sim_.run_for(Duration::millis(100));
   }
-  sim.run_for(Duration::millis(100));
-  EXPECT_EQ(client.completed().total(), 0u);
-  EXPECT_EQ(client.in_flight(), 1u);
+
+  sim::Simulator sim_;
+  Cluster cluster_;
+};
+
+// A reply counts as the vote of the node that sent it: one Byzantine replica
+// claiming f+1 replica ids must not complete a request on its own.
+TEST_F(ClientQuorum, ForgedRepliesFromOneNodeLeaveTheRequestPending) {
+  ASSERT_EQ(client().issued(), 1u);
+  // Replica 3 answers under every replica id.
+  for (ReplicaId claimed = 0; claimed < cluster_.n(); ++claimed) {
+    reply(3, claimed, 0xab);
+  }
+  EXPECT_EQ(client().completed().total(), 0u);
+  EXPECT_EQ(client().in_flight(), 1u);
 
   // One more matching reply from a second node makes f+1 distinct senders.
-  cluster.network().send(0, client_node, reply(0));
-  sim.run_for(Duration::millis(100));
-  EXPECT_EQ(client.completed().total(), 1u);
+  reply(0, 0, 0xab);
+  EXPECT_EQ(client().completed().total(), 1u);
+}
+
+// f+1 copies of one replica's own reply are still one vote.
+TEST_F(ClientQuorum, RepeatedRepliesFromOneReplicaCountOnce) {
+  ASSERT_EQ(client().issued(), 1u);
+  for (int copy = 0; copy < 2; ++copy) reply(2, 2, 0xab);
+  EXPECT_EQ(client().completed().total(), 0u);
+  EXPECT_EQ(client().in_flight(), 1u);
+
+  reply(1, 1, 0xab);
+  EXPECT_EQ(client().completed().total(), 1u);
+  EXPECT_EQ(client().in_flight(), 1u);  // the next request was issued
+  EXPECT_EQ(client().issued(), 2u);
+}
+
+// Votes count per result: f+1 replies split across two results complete
+// nothing, and a second reply with one of them completes the request.
+TEST_F(ClientQuorum, RepliesWithDifferentResultsDoNotCombine) {
+  ASSERT_EQ(client().issued(), 1u);
+  reply(0, 0, 0xab);
+  reply(1, 1, 0xcd);
+  EXPECT_EQ(client().completed().total(), 0u);
+  EXPECT_EQ(client().in_flight(), 1u);
+
+  reply(2, 2, 0xcd);
+  EXPECT_EQ(client().completed().total(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -653,106 +653,99 @@ namespace {
 // clean error or a valid value — never a crash or UB.
 // ---------------------------------------------------------------------------
 
+/// Valid wire frames of the message kinds the decoder tests mutate.
+std::vector<Bytes> envelope_corpus() {
+  std::vector<Bytes> corpus;
+  ClientRequestMsg req;
+  req.ops = {make_op(1, 1, 150), make_op(2, 9, 10)};
+  corpus.push_back(
+      make_envelope(MsgKind::kClientRequest, req).serialize().bytes());
+
+  ClientReplyMsg rep;
+  rep.client = 3;
+  rep.requests = {1, 2, 3};
+  rep.result = to_bytes("12345678");
+  rep.padding = Bytes(64, 0xcd);
+  corpus.push_back(
+      make_envelope(MsgKind::kClientReply, rep).serialize().bytes());
+
+  ProposalMsg prop;
+  prop.phase = Phase::kPrePrepare;
+  prop.view = 4;
+  ProposalEntry e1, e2;
+  e1.block = make_block(4, 3, crypto::Sha256::digest(to_bytes("p")), 2,
+                        {make_op(1, 1, 40)});
+  e1.justify.qc = make_qc(QcType::kPrepare, 3, 2);
+  e2.block = e1.block;
+  e2.block.height = 4;
+  e2.block.virtual_block = true;
+  e2.block.parent_link = Hash256{};
+  e2.justify = e1.justify;
+  prop.entries = {e1, e2};
+  corpus.push_back(
+      make_envelope(MsgKind::kProposal, prop).serialize().bytes());
+
+  VoteMsg vote;
+  vote.phase = Phase::kPrepare;
+  vote.view = 4;
+  vote.parsig = {1, Bytes(crypto::kSignatureSize, 0x33)};
+  vote.locked_qc = make_qc(QcType::kPrepare, 3, 2);
+  corpus.push_back(
+      make_envelope(MsgKind::kVote, vote).serialize().bytes());
+
+  QcNoticeMsg notice;
+  notice.qc = make_qc(QcType::kPrePrepare, 4, 5, {}, 4, 3, true);
+  notice.aux = make_qc(QcType::kPrepare, 3, 4);
+  corpus.push_back(
+      make_envelope(MsgKind::kQcNotice, notice).serialize().bytes());
+
+  ViewChangeMsg vc;
+  vc.view = 5;
+  vc.last_voted = BlockRef{crypto::Sha256::digest(to_bytes("lb")), 4, 7, 3,
+                           false};
+  vc.high_qc.qc = make_qc(QcType::kPrepare, 4, 6);
+  vc.parsig = {2, Bytes(crypto::kSignatureSize, 0x44)};
+  corpus.push_back(
+      make_envelope(MsgKind::kViewChange, vc).serialize().bytes());
+  return corpus;
+}
+
+/// Parses `wire` and opens it as the kind its first byte declares.
+Status open_any(const Bytes& wire) {
+  auto env = Envelope::parse(wire);
+  if (!env.is_ok()) return env.status();
+  switch (env.value().kind()) {
+    case MsgKind::kClientRequest:
+      return open_envelope<ClientRequestMsg>(env.value()).status();
+    case MsgKind::kClientReply:
+      return open_envelope<ClientReplyMsg>(env.value()).status();
+    case MsgKind::kProposal:
+      return open_envelope<ProposalMsg>(env.value()).status();
+    case MsgKind::kVote:
+      return open_envelope<VoteMsg>(env.value()).status();
+    case MsgKind::kQcNotice:
+      return open_envelope<QcNoticeMsg>(env.value()).status();
+    case MsgKind::kViewChange:
+      return open_envelope<ViewChangeMsg>(env.value()).status();
+    case MsgKind::kFetchRequest:
+      return open_envelope<FetchRequestMsg>(env.value()).status();
+    case MsgKind::kFetchResponse:
+      return open_envelope<FetchResponseMsg>(env.value()).status();
+    case MsgKind::kSnapshotRequest:
+      return open_envelope<SnapshotRequestMsg>(env.value()).status();
+    case MsgKind::kSnapshotResponse:
+      return open_envelope<SnapshotResponseMsg>(env.value()).status();
+    case MsgKind::kTimeoutNotice:
+      return open_envelope<TimeoutNoticeMsg>(env.value()).status();
+  }
+  return Status::ok();
+}
+
 class DecoderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
   Rng rng(GetParam());
-
-  // A corpus of every message kind, valid on the wire.
-  std::vector<Bytes> corpus;
-  {
-    ClientRequestMsg req;
-    req.ops = {make_op(1, 1, 150), make_op(2, 9, 10)};
-    corpus.push_back(
-        make_envelope(MsgKind::kClientRequest, req).serialize().bytes());
-
-    ClientReplyMsg rep;
-    rep.client = 3;
-    rep.requests = {1, 2, 3};
-    rep.result = to_bytes("12345678");
-    rep.padding = Bytes(64, 0xcd);
-    corpus.push_back(
-        make_envelope(MsgKind::kClientReply, rep).serialize().bytes());
-
-    ProposalMsg prop;
-    prop.phase = Phase::kPrePrepare;
-    prop.view = 4;
-    ProposalEntry e1, e2;
-    e1.block = make_block(4, 3, crypto::Sha256::digest(to_bytes("p")), 2,
-                          {make_op(1, 1, 40)});
-    e1.justify.qc = make_qc(QcType::kPrepare, 3, 2);
-    e2.block = e1.block;
-    e2.block.height = 4;
-    e2.block.virtual_block = true;
-    e2.block.parent_link = Hash256{};
-    e2.justify = e1.justify;
-    prop.entries = {e1, e2};
-    corpus.push_back(
-        make_envelope(MsgKind::kProposal, prop).serialize().bytes());
-
-    VoteMsg vote;
-    vote.phase = Phase::kPrepare;
-    vote.view = 4;
-    vote.parsig = {1, Bytes(crypto::kSignatureSize, 0x33)};
-    vote.locked_qc = make_qc(QcType::kPrepare, 3, 2);
-    corpus.push_back(
-        make_envelope(MsgKind::kVote, vote).serialize().bytes());
-
-    QcNoticeMsg notice;
-    notice.qc = make_qc(QcType::kPrePrepare, 4, 5, {}, 4, 3, true);
-    notice.aux = make_qc(QcType::kPrepare, 3, 4);
-    corpus.push_back(
-        make_envelope(MsgKind::kQcNotice, notice).serialize().bytes());
-
-    ViewChangeMsg vc;
-    vc.view = 5;
-    vc.last_voted = BlockRef{crypto::Sha256::digest(to_bytes("lb")), 4, 7, 3,
-                             false};
-    vc.high_qc.qc = make_qc(QcType::kPrepare, 4, 6);
-    vc.parsig = {2, Bytes(crypto::kSignatureSize, 0x44)};
-    corpus.push_back(
-        make_envelope(MsgKind::kViewChange, vc).serialize().bytes());
-  }
-
-  auto try_decode = [](const Bytes& wire) {
-    auto env = Envelope::parse(wire);
-    if (!env.is_ok()) return;
-    switch (env.value().kind()) {
-      case MsgKind::kClientRequest:
-        (void)open_envelope<ClientRequestMsg>(env.value());
-        break;
-      case MsgKind::kClientReply:
-        (void)open_envelope<ClientReplyMsg>(env.value());
-        break;
-      case MsgKind::kProposal:
-        (void)open_envelope<ProposalMsg>(env.value());
-        break;
-      case MsgKind::kVote:
-        (void)open_envelope<VoteMsg>(env.value());
-        break;
-      case MsgKind::kQcNotice:
-        (void)open_envelope<QcNoticeMsg>(env.value());
-        break;
-      case MsgKind::kViewChange:
-        (void)open_envelope<ViewChangeMsg>(env.value());
-        break;
-      case MsgKind::kFetchRequest:
-        (void)open_envelope<FetchRequestMsg>(env.value());
-        break;
-      case MsgKind::kFetchResponse:
-        (void)open_envelope<FetchResponseMsg>(env.value());
-        break;
-      case MsgKind::kSnapshotRequest:
-        (void)open_envelope<SnapshotRequestMsg>(env.value());
-        break;
-      case MsgKind::kSnapshotResponse:
-        (void)open_envelope<SnapshotResponseMsg>(env.value());
-        break;
-      case MsgKind::kTimeoutNotice:
-        (void)open_envelope<TimeoutNoticeMsg>(env.value());
-        break;
-    }
-  };
+  const std::vector<Bytes> corpus = envelope_corpus();
 
   for (int trial = 0; trial < 3000; ++trial) {
     Bytes wire = corpus[rng.next_below(corpus.size())];
@@ -770,13 +763,28 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
     } else {
       wire = rng.next_bytes(1 + rng.next_below(200));  // pure garbage
     }
-    try_decode(wire);  // must not crash; outcome irrelevant
+    (void)open_any(wire);  // must not crash; outcome irrelevant
   }
   SUCCEED();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz,
                          ::testing::Values(1000, 2000, 3000, 4000));
+
+// Every bounds check in the codec: each strict prefix of a valid frame is
+// a short read somewhere, and must fail cleanly as corruption.
+TEST(DecoderCorpus, EveryStrictPrefixFailsWithCorruption) {
+  for (const Bytes& wire : envelope_corpus()) {
+    ASSERT_TRUE(open_any(wire).is_ok());
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const Bytes prefix(wire.begin(), wire.begin() + len);
+      const Status s = open_any(prefix);
+      EXPECT_EQ(s.code(), ErrorCode::kCorruption)
+          << "kind " << int(wire[0]) << ", " << len << " of " << wire.size()
+          << " bytes: " << s.to_string();
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Block identity from the frame (consensus/block_frames.h)
