@@ -8,11 +8,16 @@
 //          backends model the same deployment;
 //   metal  src/realnet — real threads, real epoll, real 127.0.0.1 TCP.
 //
-// Prints one row per (n, backend) — throughput, latency percentiles, and
-// getrusage CPU/context-switch deltas — and writes the comparison as JSON
-// (schema marlin/realnet/v2); the repo pins a representative run as
-// BENCH_realnet.json. Wall-clock metal numbers are machine-dependent, so
-// CI only smoke-runs --quick and checks that the artifact is written.
+// Both rows run the one experiment procedure (runtime::run_experiment) and
+// differ only in the deployment under it. Prints one row per (n, backend) —
+// throughput, latency percentiles, the final view, and getrusage
+// CPU/context-switch deltas — and writes the comparison as JSON (schema
+// marlin/realnet/v3); the repo pins a representative run as
+// BENCH_realnet.json. A row is ok when the run's report is and every
+// replica committed something; final_view tells a row that sat through
+// view changes from a healthy one. Wall-clock metal numbers are
+// machine-dependent, so CI only smoke-runs --quick and checks that the
+// artifact is written.
 //
 //   bench_realnet                      # full sweep, n = 4, 7, 10, 19
 //   bench_realnet --quick              # short windows, n = 4 only
@@ -21,14 +26,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_host.h"
 #include "obs/export.h"
-#include "realnet/real_cluster.h"
-#include "runtime/experiment.h"
+#include "realnet/metal_deployment.h"
 
 using namespace marlin;
 
@@ -42,6 +46,7 @@ struct Row {
   double p95_ms = 0;
   double mean_ms = 0;
   std::uint64_t completed = 0;
+  ViewNumber final_view = 0;
   bool ok = false;
   // getrusage(RUSAGE_SELF) deltas across the row: CPU burned (user+sys)
   // and scheduler pressure. On a 1-core host involuntary switches are the
@@ -97,57 +102,42 @@ runtime::ClusterConfig workload(std::uint32_t f) {
   return cfg;
 }
 
-Row run_sim(std::uint32_t f, Duration warmup, Duration measure) {
+Row run_row(std::uint32_t f, bool metal, Duration warmup, Duration measure) {
   const UsageSnap before = usage_now();
   runtime::ExperimentOptions exp =
       runtime::throughput_options(workload(f), warmup, measure);
-  const runtime::ExperimentReport rep = runtime::run_experiment(exp);
+  std::unique_ptr<runtime::Deployment> deployment;
+  if (metal) {
+    deployment = std::make_unique<realnet::MetalDeployment>(exp);
+  } else {
+    deployment = std::make_unique<runtime::SimDeployment>(exp);
+  }
+  const runtime::ExperimentReport rep =
+      runtime::run_experiment(exp, *deployment);
   Row row;
   fill_usage(&row, before);
   row.n = 3 * f + 1;
-  row.backend = "sim";
+  row.backend = metal ? "metal" : "sim";
+  if (!rep.status.is_ok()) {
+    std::fprintf(stderr, "%s n=%u: %s\n", row.backend, row.n,
+                 rep.status.message().c_str());
+    return row;
+  }
   row.throughput_ops = rep.throughput_ops;
   row.p50_ms = rep.p50_latency_ms;
   row.p95_ms = rep.p95_latency_ms;
   row.mean_ms = rep.mean_latency_ms;
   row.completed = rep.total_completed;
-  row.ok = rep.safety_ok && rep.consistent;
-  return row;
-}
-
-Row run_metal(std::uint32_t f, Duration warmup, Duration measure) {
-  const UsageSnap before = usage_now();
-  realnet::RealCluster cluster(workload(f));
-  Row row;
-  row.n = 3 * f + 1;
-  row.backend = "metal";
-  if (!cluster.ok().is_ok()) {
-    std::fprintf(stderr, "metal n=%u init failed: %s\n", row.n,
-                 cluster.ok().message().c_str());
-    return row;
-  }
-  const TimePoint t0 = realnet::mono_now();
-  cluster.set_measurement_window(t0 + warmup, t0 + warmup + measure);
-  cluster.start();
-  std::this_thread::sleep_for(
-      std::chrono::nanoseconds((warmup + measure).as_nanos()));
-  cluster.stop();
-  fill_usage(&row, before);
-  row.throughput_ops = cluster.client_throughput();
-  row.p50_ms = cluster.latency_ms(50);
-  row.p95_ms = cluster.latency_ms(95);
-  row.mean_ms = cluster.mean_latency_ms();
-  row.completed = cluster.total_completed();
-  row.ok = !cluster.any_safety_violation() &&
-           cluster.committed_heights_consistent() &&
-           cluster.min_committed_height() > 0;
+  row.final_view = rep.final_view;
+  row.ok = rep.ok() && deployment->meter().min_committed_height() > 0;
   return row;
 }
 
 void print_row(const Row& r) {
-  std::printf("%4u  %-6s %12.1f %10.2f %10.2f %10.2f %12llu %8.2f %8llu %8llu  %s\n",
+  std::printf("%4u  %-6s %12.1f %10.2f %10.2f %10.2f %12llu %6llu %8.2f %8llu %8llu  %s\n",
               r.n, r.backend, r.throughput_ops, r.p50_ms, r.p95_ms, r.mean_ms,
-              static_cast<unsigned long long>(r.completed), r.cpu_s,
+              static_cast<unsigned long long>(r.completed),
+              static_cast<unsigned long long>(r.final_view), r.cpu_s,
               static_cast<unsigned long long>(r.vol_ctx_switches),
               static_cast<unsigned long long>(r.invol_ctx_switches),
               r.ok ? "ok" : "FAIL");
@@ -158,12 +148,12 @@ std::string row_json(const Row& r) {
   std::snprintf(buf, sizeof buf,
                 "  {\"n\":%u,\"backend\":\"%s\",\"throughput_ops\":%.1f,"
                 "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"mean_ms\":%.3f,"
-                "\"completed\":%llu,\"cpu_s\":%.3f,"
+                "\"completed\":%llu,\"final_view\":%llu,\"cpu_s\":%.3f,"
                 "\"vol_ctx_switches\":%llu,\"invol_ctx_switches\":%llu,"
                 "\"ok\":%s}",
                 r.n, r.backend, r.throughput_ops, r.p50_ms, r.p95_ms,
                 r.mean_ms, static_cast<unsigned long long>(r.completed),
-                r.cpu_s,
+                static_cast<unsigned long long>(r.final_view), r.cpu_s,
                 static_cast<unsigned long long>(r.vol_ctx_switches),
                 static_cast<unsigned long long>(r.invol_ctx_switches),
                 r.ok ? "true" : "false");
@@ -198,16 +188,16 @@ int main(int argc, char** argv) {
   std::printf(
       "bench_realnet — same workload, two transports (sim vs localhost TCP)\n"
       "clients=4 window=16 payload=150B; sim net: 50us one-way, 10 Gbps\n\n"
-      "%4s  %-6s %12s %10s %10s %10s %12s %8s %8s %8s\n", "n", "trans",
-      "ops/s", "p50 ms", "p95 ms", "mean ms", "completed", "cpu s", "nvcsw",
-      "nivcsw");
+      "%4s  %-6s %12s %10s %10s %10s %12s %6s %8s %8s %8s\n", "n", "trans",
+      "ops/s", "p50 ms", "p95 ms", "mean ms", "completed", "view", "cpu s",
+      "nvcsw", "nivcsw");
 
   std::vector<Row> rows;
   bool all_ok = true;
   for (std::uint32_t f : fs) {
-    const Row sim = run_sim(f, warmup, measure);
+    const Row sim = run_row(f, /*metal=*/false, warmup, measure);
     print_row(sim);
-    const Row metal = run_metal(f, warmup, measure);
+    const Row metal = run_row(f, /*metal=*/true, warmup, measure);
     print_row(metal);
     rows.push_back(sim);
     rows.push_back(metal);
@@ -220,7 +210,7 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    std::string json = "{\"schema\":\"marlin/realnet/v2\",\"quick\":";
+    std::string json = "{\"schema\":\"marlin/realnet/v3\",\"quick\":";
     json += quick ? "true" : "false";
     json += ",\n \"host\":{" + bench::host_json_fields() + "}";
     json +=

@@ -30,9 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/cluster.h"
-#include "simnet/sharded.h"
-#include "simnet/simulator.h"
+#include "runtime/experiment.h"
 
 using namespace marlin;
 
@@ -110,50 +108,29 @@ Row run_row(std::uint32_t f, std::uint32_t shards, std::uint32_t workers,
   // round latency, not by timer churn.
   cfg.consensus.pacemaker.base_timeout_per_replica = Duration::millis(5);
 
+  runtime::ExperimentOptions exp = runtime::throughput_options(
+      cfg, Duration::zero(), Duration::from_seconds_f(sim_seconds));
+  exp.drain = Duration::zero();
+  exp.shards = shards;
+  exp.workers = workers;
+  runtime::SimDeployment deployment(exp);
+
   Row r;
   r.n = 3 * f + 1;
   r.shards = shards;
+  r.workers = deployment.workers();
   r.sim_seconds = sim_seconds;
-
-  const TimePoint end =
-      TimePoint::origin() + Duration::from_seconds_f(sim_seconds);
-  if (shards <= 1) {
-    r.workers = 1;
-    sim::Simulator sim(cfg.seed);
-    runtime::Cluster cluster(sim, cfg);
-    cluster.start();
-    const std::uint64_t t0 = wall_now_ns();
-    sim.run_until(end);
-    r.wall_ns = wall_now_ns() - t0;
-    r.events = sim.events_executed();
-    r.safety_ok = !cluster.any_safety_violation() &&
-                  cluster.committed_heights_consistent();
-    for (ReplicaId i = 0; i < cluster.n(); ++i) {
-      r.committed_ops = std::max(
-          r.committed_ops,
-          cluster.replica(i).metrics().counter("replica.committed_ops"));
-    }
-  } else {
-    sim::ShardedSimulator::Config ecfg;
-    ecfg.seed = cfg.seed;
-    ecfg.shards = shards;
-    ecfg.workers = workers;
-    ecfg.lookahead = cfg.net.one_way_delay;
-    sim::ShardedSimulator engine(ecfg);
-    r.workers = engine.workers();
-    runtime::Cluster cluster(engine, cfg);
-    cluster.start();
-    const std::uint64_t t0 = wall_now_ns();
-    engine.run_until(end);
-    r.wall_ns = wall_now_ns() - t0;
-    r.events = engine.events_executed();
-    r.safety_ok = !cluster.any_safety_violation() &&
-                  cluster.committed_heights_consistent();
-    for (ReplicaId i = 0; i < cluster.n(); ++i) {
-      r.committed_ops = std::max(
-          r.committed_ops,
-          cluster.replica(i).metrics().counter("replica.committed_ops"));
-    }
+  const std::uint64_t t0 = wall_now_ns();
+  const runtime::ExperimentReport rep =
+      runtime::run_experiment(exp, deployment);
+  r.wall_ns = wall_now_ns() - t0;
+  r.events = deployment.events_executed();
+  r.safety_ok = rep.safety_ok && rep.consistent;
+  runtime::Cluster& cluster = *deployment.simulated();
+  for (ReplicaId i = 0; i < cluster.n(); ++i) {
+    r.committed_ops = std::max(
+        r.committed_ops,
+        cluster.replica(i).metrics().counter("replica.committed_ops"));
   }
   r.peak_rss = peak_rss_bytes();
   return r;

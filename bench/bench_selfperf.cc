@@ -28,7 +28,7 @@
 #include "bench_host.h"
 #include "common/alloc_hook.h"
 #include "obs/export.h"
-#include "runtime/cluster.h"
+#include "runtime/experiment.h"
 #include "simnet/simulator.h"
 
 using namespace marlin;
@@ -124,30 +124,25 @@ struct WorkloadResult {
   }
 };
 
-/// The acceptance workload: n=40 (f=13), 8 closed-loop clients with fat
-/// 256-byte requests and deep windows, so each view broadcasts a large
-/// proposal to 40 replicas. Broadcast serialization and event-queue churn
-/// dominate — exactly what the zero-copy fabric optimizes.
-WorkloadResult run_workload(double sim_seconds) {
-  sim::Simulator sim(1);
-  runtime::ClusterConfig cfg;
-  cfg.f = 13;  // n = 40
-  cfg.seed = 1;
-  cfg.clients.count = 8;
-  cfg.clients.window = 32;
-  cfg.clients.payload_size = 256;
-  runtime::Cluster cluster(sim, cfg);
-  cluster.start();
+/// Runs `cfg` for `sim_seconds`, counting events and allocations of the
+/// run phase only.
+WorkloadResult run_cluster(const runtime::ClusterConfig& cfg,
+                           double sim_seconds) {
+  runtime::ExperimentOptions exp;
+  exp.cluster = cfg;
+  runtime::SimDeployment deployment(exp);
+  deployment.start(Duration::zero(), Duration::from_seconds_f(sim_seconds));
 
   alloc_hook::reset();
   const std::uint64_t t0 = wall_now_ns();
-  sim.run_until(TimePoint::origin() + Duration::from_seconds_f(sim_seconds));
+  deployment.advance_to(Duration::from_seconds_f(sim_seconds));
   const std::uint64_t t1 = wall_now_ns();
 
+  runtime::Cluster& cluster = *deployment.simulated();
   WorkloadResult r;
   r.n = cluster.n();
   r.sim_seconds = sim_seconds;
-  r.events = sim.events_executed();
+  r.events = deployment.events_executed();
   r.wall_ns = t1 - t0;
   r.allocs = alloc_hook::allocations();
   for (ReplicaId i = 0; i < cluster.n(); ++i) {
@@ -158,39 +153,33 @@ WorkloadResult run_workload(double sim_seconds) {
   return r;
 }
 
+/// The acceptance workload: n=40 (f=13), 8 closed-loop clients with fat
+/// 256-byte requests and deep windows, so each view broadcasts a large
+/// proposal to 40 replicas. Broadcast serialization and event-queue churn
+/// dominate — exactly what the zero-copy fabric optimizes.
+WorkloadResult run_workload(double sim_seconds) {
+  runtime::ClusterConfig cfg;
+  cfg.f = 13;  // n = 40
+  cfg.seed = 1;
+  cfg.clients.count = 8;
+  cfg.clients.window = 32;
+  cfg.clients.payload_size = 256;
+  return run_cluster(cfg, sim_seconds);
+}
+
 /// Large-n steady state: n=100 (f=33) with a light client load. The event
 /// heap, timer slab, and network links are pre-sized from the cluster size
 /// (Cluster reserves n-proportional capacity up front), so the run phase
 /// should stay allocation-lean no matter how many replicas churn timers —
 /// the --max-bigload-allocs-per-event gate pins that.
 WorkloadResult run_bigload(double sim_seconds) {
-  sim::Simulator sim(1);
   runtime::ClusterConfig cfg;
   cfg.f = 33;  // n = 100
   cfg.seed = 1;
   cfg.clients.count = 8;
   cfg.clients.window = 8;
   cfg.clients.payload_size = 64;
-  runtime::Cluster cluster(sim, cfg);
-  cluster.start();
-
-  alloc_hook::reset();
-  const std::uint64_t t0 = wall_now_ns();
-  sim.run_until(TimePoint::origin() + Duration::from_seconds_f(sim_seconds));
-  const std::uint64_t t1 = wall_now_ns();
-
-  WorkloadResult r;
-  r.n = cluster.n();
-  r.sim_seconds = sim_seconds;
-  r.events = sim.events_executed();
-  r.wall_ns = t1 - t0;
-  r.allocs = alloc_hook::allocations();
-  for (ReplicaId i = 0; i < cluster.n(); ++i) {
-    r.committed_ops = std::max(
-        r.committed_ops,
-        cluster.replica(i).metrics().counter("replica.committed_ops"));
-  }
-  return r;
+  return run_cluster(cfg, sim_seconds);
 }
 
 /// Minimal flat-JSON number lookup ("\"key\":123.45"), sufficient for the

@@ -1,9 +1,10 @@
 // Declarative fault plans: a timeline of fault actions executed against a
-// simulated cluster by a FaultController. A plan is plain data — it can be
-// written by hand as JSON (`marlin_run --backend=sim --faults plan.json`),
-// generated randomly from a seed (chaos.h), round-tripped losslessly, and
-// replayed deterministically: the same (seed, plan) pair always produces the same
-// run, byte for byte.
+// simulated cluster by a FaultController (a metal cluster runs the crash
+// and restart actions through realnet::MetalDeployment). A plan is plain
+// data — it can be written by hand as JSON (`marlin_run --backend=sim
+// --faults plan.json`), generated randomly from a seed (chaos.h),
+// round-tripped losslessly, and replayed deterministically: the same (seed,
+// plan) pair always produces the same run, byte for byte.
 //
 // Action vocabulary (docs/FAULTS.md documents the JSON schema):
 //   crash / crash_leader / recover   — crash-stop faults, id or "whoever

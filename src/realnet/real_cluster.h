@@ -2,8 +2,9 @@
 // clients, each a TcpTransport + EventLoop on its own thread, speaking
 // length-prefixed frames over 127.0.0.1 TCP. Reuses runtime::ClusterConfig
 // so a sim experiment and a metal run share one description (the simnet
-// fields — NetConfig latency model, fault plan — simply don't apply here;
-// real crashes are injected with kill_replica/relaunch_replica).
+// NetConfig latency model does not apply here; the fault plan's crash and
+// restart actions run through MetalDeployment, which injects them with
+// kill_replica/relaunch_replica).
 //
 // Construction happens entirely on the calling thread: every node's
 // listener is pre-bound (ephemeral ports) so the full endpoint table

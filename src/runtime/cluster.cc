@@ -136,6 +136,14 @@ Height ClusterMetrology::min_committed_height() const {
   return min;
 }
 
+ViewNumber ClusterMetrology::max_view() const {
+  ViewNumber v = 0;
+  for (ReplicaId i = 0; i < replica_hosts_.size(); ++i) {
+    if (counted(i)) v = std::max(v, replica_hosts_[i]->current_view());
+  }
+  return v;
+}
+
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
     : config_(std::move(config)) {
   EngineBinding engine;
@@ -260,14 +268,6 @@ Status Cluster::restart_replica(ReplicaId i, bool wipe) {
 
 ReplicaId Cluster::current_leader() const {
   return static_cast<ReplicaId>(max_view() % n());
-}
-
-ViewNumber Cluster::max_view() const {
-  ViewNumber v = 0;
-  for (ReplicaId i = 0; i < replicas_.size(); ++i) {
-    if (counted(i)) v = std::max(v, replicas_[i]->current_view());
-  }
-  return v;
 }
 
 void Cluster::export_metrics(obs::MetricsRegistry& out) const {

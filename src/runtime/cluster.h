@@ -106,6 +106,8 @@ class ClusterMetrology {
   bool committed_heights_consistent() const;
   /// Lowest committed height among counted replicas (0 when none).
   Height min_committed_height() const;
+  /// Highest view any counted replica is in.
+  ViewNumber max_view() const;
 
   /// Replica i's host; null on metal while it has none (a failed build).
   const ReplicaHost* replica_host(ReplicaId i) const {
@@ -190,7 +192,6 @@ class Cluster : public ClusterMetrology {
 
   /// The leader of the highest view any live replica is currently in.
   ReplicaId current_leader() const;
-  ViewNumber max_view() const;
 
   /// A crashed (network-down) replica is left out of the metrology.
   bool counted(ReplicaId i) const override {

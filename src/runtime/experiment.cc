@@ -1,6 +1,7 @@
 #include "runtime/experiment.h"
 
 #include <algorithm>
+#include <string>
 
 namespace marlin::runtime {
 
@@ -19,39 +20,26 @@ const faults::FaultAction* earliest_crash(const faults::FaultPlan& plan) {
   return best;
 }
 
-/// Replicas that must keep committing: up, and not wire-Byzantine.
-std::vector<ReplicaId> correct_replicas(Cluster& cluster) {
-  std::vector<ReplicaId> out;
-  for (ReplicaId r = 0; r < cluster.n(); ++r) {
-    if (cluster.network().is_down(r)) continue;
-    if (cluster.replica(r).byzantine_mode() != faults::ByzantineMode::kHonest) {
-      continue;
-    }
-    out.push_back(r);
-  }
-  return out;
-}
-
-void measure_view_change(sim::Simulator& sim, Cluster& cluster,
-                         const ExperimentOptions& opt,
+void measure_view_change(Deployment& d, const ExperimentOptions& opt,
                          ViewChangeReport& out) {
+  Cluster& cluster = *d.simulated();
   const faults::FaultAction* crash = earliest_crash(cluster.config().faults);
   if (!crash) return;  // nothing to anchor on
 
   // Run up to (and through) the crash; the controller records the resolved
   // target and the view it fired in.
-  sim.run_until(TimePoint::origin() + crash->at);
+  d.advance_to(crash->at);
   const faults::ExecutedAction* fired = cluster.faults().first_crash();
   if (!fired) return;
   const ReplicaId old_leader = fired->target;
   const ViewNumber old_view = fired->view;
 
   // Run until every correct replica commits in a higher view (or deadline).
-  const TimePoint deadline = sim.now() + opt.view_change_deadline;
-  while (sim.now() < deadline) {
-    sim.run_for(Duration::millis(50));
+  const Duration deadline = d.now() + opt.view_change_deadline;
+  while (d.now() < deadline) {
+    d.advance_to(d.now() + Duration::millis(50));
     bool all_committed = true;
-    for (ReplicaId r : correct_replicas(cluster)) {
+    for (ReplicaId r : d.correct_replicas()) {
       const auto& rp = cluster.replica(r);
       if (rp.protocol().current_view() <= old_view ||
           !rp.committed_in_current_view()) {
@@ -65,7 +53,7 @@ void measure_view_change(sim::Simulator& sim, Cluster& cluster,
   double total_ms = 0;
   std::uint32_t counted = 0;
   bool resolved = true;
-  for (ReplicaId r : correct_replicas(cluster)) {
+  for (ReplicaId r : d.correct_replicas()) {
     const auto& rp = cluster.replica(r);
     if (!rp.committed_in_current_view() ||
         rp.protocol().current_view() <= old_view) {
@@ -92,30 +80,29 @@ void measure_view_change(sim::Simulator& sim, Cluster& cluster,
   }
 }
 
-void check_liveness(sim::Simulator& sim, Cluster& cluster,
-                    const ExperimentOptions& opt, LivenessReport& out) {
+void check_liveness(Deployment& d, const ExperimentOptions& opt,
+                    LivenessReport& out) {
   out.checked = true;
 
   // Run to the quiesce point: every transient disruption over, only
   // persistent faults (≤ f crashes / Byzantine modes) remain.
-  const TimePoint quiesce = cluster.faults().quiesce_time();
-  if (sim.now() < quiesce) sim.run_until(quiesce);
+  const Duration quiesce = opt.cluster.faults.quiesce_time();
+  if (d.now() < quiesce) d.advance_to(quiesce);
 
-  const std::vector<ReplicaId> correct = correct_replicas(cluster);
-  std::vector<Height> base(cluster.n(), 0);
-  for (ReplicaId r : correct) {
-    base[r] = cluster.replica(r).protocol().committed_height();
-    out.commits_at_quiesce += base[r];
-  }
+  const std::vector<ReplicaId> correct = d.correct_replicas();
+  const std::vector<Height> base = d.committed_heights();
+  for (ReplicaId r : correct) out.commits_at_quiesce += base[r];
 
   // Liveness resumed iff every correct replica commits a new block in the
   // fault-free tail (recovering replicas catch up via fetch).
-  const TimePoint deadline = quiesce + opt.liveness_deadline;
-  while (sim.now() < deadline) {
-    sim.run_for(Duration::millis(100));
+  const Duration deadline = quiesce + opt.liveness_deadline;
+  std::vector<Height> heights = base;
+  while (d.now() < deadline) {
+    d.advance_to(d.now() + Duration::millis(100));
+    heights = d.committed_heights();
     bool all_advanced = true;
     for (ReplicaId r : correct) {
-      if (cluster.replica(r).protocol().committed_height() <= base[r]) {
+      if (heights[r] <= base[r]) {
         all_advanced = false;
         break;
       }
@@ -125,43 +112,159 @@ void check_liveness(sim::Simulator& sim, Cluster& cluster,
       break;
     }
   }
-  for (ReplicaId r : correct) {
-    out.commits_at_end += cluster.replica(r).protocol().committed_height();
-  }
+  for (ReplicaId r : correct) out.commits_at_end += heights[r];
 }
 
 }  // namespace
 
-ExperimentReport run_experiment(const ExperimentOptions& options) {
-  sim::Simulator sim(options.cluster.seed);
-  Cluster cluster(sim, options.cluster);
+SimDeployment::SimDeployment(const ExperimentOptions& options,
+                             std::size_t trace_capacity) {
+  ClusterConfig config = options.cluster;
+  const bool own_trace = trace_capacity > 0 && config.trace == nullptr;
+  if (options.shards > 1) {
+    sim::ShardedSimulator::Config ecfg;
+    ecfg.seed = config.seed;
+    ecfg.shards = options.shards;
+    ecfg.workers = options.workers;
+    ecfg.lookahead = config.net.one_way_delay;
+    sharded_.emplace(ecfg);
+    if (own_trace) sharded_->enable_tracing(trace_capacity);
+    cluster_.emplace(*sharded_, std::move(config));
+  } else {
+    if (own_trace) config.trace = &trace_.emplace(trace_capacity);
+    simulator_.emplace(config.seed);
+    cluster_.emplace(*simulator_, std::move(config));
+  }
+}
 
-  const TimePoint w_start = TimePoint::origin() + options.warmup;
-  const TimePoint w_end = w_start + options.measure;
-  cluster.set_measurement_window(w_start, w_end);
-  cluster.start();
+void SimDeployment::start(Duration window_start, Duration window_end) {
+  cluster_->set_measurement_window(TimePoint::origin() + window_start,
+                                   TimePoint::origin() + window_end);
+  cluster_->start();
+}
 
+Duration SimDeployment::now() const {
+  return (simulator_ ? simulator_->now() : sharded_->now()) -
+         TimePoint::origin();
+}
+
+void SimDeployment::advance_to(Duration t) {
+  // On the sharded engine the clock stops at window barriers, where the
+  // cluster is quiescent: mid-run reads are bit-deterministic.
+  const TimePoint at = TimePoint::origin() + t;
+  if (simulator_) {
+    simulator_->run_until(at);
+  } else if (at >= sharded_->now()) {
+    sharded_->run_until(at);
+  }
+}
+
+std::vector<ReplicaId> SimDeployment::correct_replicas() {
+  std::vector<ReplicaId> out;
+  for (ReplicaId r = 0; r < cluster_->n(); ++r) {
+    if (cluster_->network().is_down(r)) continue;
+    if (cluster_->replica(r).byzantine_mode() !=
+        faults::ByzantineMode::kHonest) {
+      continue;
+    }
+    out.push_back(r);
+  }
+  return out;
+}
+
+std::vector<Height> SimDeployment::committed_heights() {
+  std::vector<Height> out(cluster_->n());
+  for (ReplicaId r = 0; r < cluster_->n(); ++r) {
+    out[r] = cluster_->replica(r).protocol().committed_height();
+  }
+  return out;
+}
+
+obs::MetricsRegistry SimDeployment::metrics() {
+  obs::MetricsRegistry reg;
+  cluster_->export_metrics(reg);
+  return reg;
+}
+
+std::vector<obs::TraceEvent> SimDeployment::trace() const {
+  if (sharded_) return sharded_->merged_trace();
+  const obs::TraceSink* sink = cluster_->config().trace;
+  return sink ? sink->events() : std::vector<obs::TraceEvent>{};
+}
+
+std::uint64_t SimDeployment::trace_evicted() {
+  if (!sharded_) {
+    const obs::TraceSink* sink = cluster_->config().trace;
+    return sink ? sink->evicted() : 0;
+  }
+  std::uint64_t evicted = 0;
+  for (std::uint32_t s = 0; sharded_->tracing() && s < sharded_->shards();
+       ++s) {
+    evicted += sharded_->shard_trace(s)->evicted();
+  }
+  return evicted;
+}
+
+std::string SimDeployment::engine() const {
+  if (!sharded_) return "sim";
+  return "sim: " + std::to_string(sharded_->shards()) + " shards x " +
+         std::to_string(sharded_->workers()) + " workers (lookahead " +
+         sharded_->lookahead().to_string() + ")";
+}
+
+std::uint64_t SimDeployment::events_executed() const {
+  return simulator_ ? simulator_->events_executed()
+                    : sharded_->events_executed();
+}
+
+ExperimentReport run_experiment(const ExperimentOptions& options,
+                                Deployment& d) {
   ExperimentReport rep;
+  rep.status = d.ok();
+  if (rep.status.is_ok() && options.measure_view_change && !d.simulated()) {
+    rep.status = error(ErrorCode::kInvalidArgument,
+                       "measure_view_change runs only on the simulator (it "
+                       "reads replica state mid-run)");
+  }
+  if (!rep.status.is_ok()) return rep;
+
+  const Duration w_end = options.warmup + options.measure;
+  d.start(options.warmup, w_end);
   if (options.measure_view_change) {
-    measure_view_change(sim, cluster, options, rep.view_change);
+    measure_view_change(d, options, rep.view_change);
   }
   if (options.check_liveness) {
-    check_liveness(sim, cluster, options, rep.liveness);
+    check_liveness(d, options, rep.liveness);
   }
-  const TimePoint run_to = w_end + options.drain;
-  if (sim.now() < run_to) sim.run_until(run_to);
+  if (options.on_sample && options.sample_every > Duration::zero()) {
+    for (Duration t = options.sample_every; t < w_end;
+         t += options.sample_every) {
+      d.advance_to(t);
+      options.on_sample(d.now(), d.metrics());
+    }
+  }
+  const Duration run_to = w_end + options.drain;
+  if (d.now() < run_to) d.advance_to(run_to);
+  d.stop();
 
-  rep.throughput_ops = cluster.client_throughput();
-  rep.mean_latency_ms = cluster.mean_latency_ms();
-  rep.p50_latency_ms = cluster.latency_ms(50);
-  rep.p95_latency_ms = cluster.latency_ms(95);
-  rep.total_completed = cluster.total_completed();
-  rep.safety_ok = !cluster.any_safety_violation();
-  rep.consistent = cluster.committed_heights_consistent();
-  rep.final_view = cluster.max_view();
-  rep.fault_log = cluster.faults().log();
-  if (options.metrics) cluster.export_metrics(*options.metrics);
+  const ClusterMetrology& m = d.meter();
+  rep.throughput_ops = m.client_throughput();
+  rep.mean_latency_ms = m.mean_latency_ms();
+  rep.p50_latency_ms = m.latency_ms(50);
+  rep.p95_latency_ms = m.latency_ms(95);
+  rep.total_completed = m.total_completed();
+  rep.safety_ok = !m.any_safety_violation();
+  rep.consistent = m.committed_heights_consistent();
+  rep.final_view = m.max_view();
+  rep.fault_log = d.fault_log();
+  rep.status = d.ok();
+  if (options.metrics) *options.metrics = d.metrics();
   return rep;
+}
+
+ExperimentReport run_experiment(const ExperimentOptions& options) {
+  SimDeployment d(options);
+  return run_experiment(options, d);
 }
 
 ExperimentOptions throughput_options(ClusterConfig cluster, Duration warmup,

@@ -1,7 +1,8 @@
 // Tests for the real-socket runtime (src/realnet): the event loop's timers,
-// the epoll event loop, the TCP transport pair (framing, reconnect), and full
+// the epoll event loop, the TCP transport pair (framing, reconnect), full
 // localhost clusters — commit liveness, clean shutdown draining in-flight
-// sends, and replica kill+relaunch reloading durable state over TCP.
+// sends, and replica kill+relaunch reloading durable state over TCP — and
+// the experiment procedure on metal (MetalDeployment).
 //
 // These tests run real threads and real sockets on 127.0.0.1, so they use
 // generous deadlines and poll for conditions instead of pinning exact
@@ -16,6 +17,7 @@
 #include "realnet/clock.h"
 #include "realnet/event_loop.h"
 #include "realnet/http_client.h"
+#include "realnet/metal_deployment.h"
 #include "realnet/real_cluster.h"
 #include "realnet/tcp_transport.h"
 
@@ -622,6 +624,72 @@ TEST(RealCluster, KilledReplicaRelaunchesFromDiskAndRejoins) {
   EXPECT_FALSE(cluster.any_safety_violation());
   EXPECT_TRUE(cluster.committed_heights_consistent());
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// MetalDeployment: the experiment procedure on real sockets
+// ---------------------------------------------------------------------------
+
+TEST(MetalDeployment, RestartRecoversAndLivenessHoldsAfterQuiesce) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "marlin_metal_restart_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  // One outstanding request per client keeps the cluster committing at a
+  // fraction of a core, so the run does not starve concurrent tests.
+  runtime::ClusterConfig cfg = quick_cluster_config(1);
+  cfg.clients.window = 1;
+  runtime::ExperimentOptions exp = runtime::throughput_options(
+      cfg, Duration::millis(500), Duration::seconds(2));
+  exp.drain = Duration::zero();
+  exp.check_liveness = true;
+  exp.cluster.faults.actions.push_back(faults::FaultAction::restart(
+      Duration::seconds(1), 2, Duration::millis(600)));
+  RealClusterOptions real;
+  real.data_dir = dir;
+  MetalDeployment deployment(exp, real);
+  const runtime::ExperimentReport rep =
+      runtime::run_experiment(exp, deployment);
+
+  EXPECT_TRUE(rep.status.is_ok()) << rep.status.message();
+  EXPECT_TRUE(rep.liveness.checked);
+  EXPECT_TRUE(rep.liveness.progressed);
+  ASSERT_EQ(rep.fault_log.size(), 1u);
+  EXPECT_EQ(rep.fault_log[0].kind, faults::FaultKind::kRestart);
+  EXPECT_EQ(rep.fault_log[0].target, 2u);
+  EXPECT_TRUE(deployment.cluster()->replica(2).recovered());
+  EXPECT_GT(rep.total_completed, 0u);
+  EXPECT_TRUE(rep.ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(MetalDeployment, RejectsWhatMetalCannotRunBeforeAnyThreadStarts) {
+  runtime::ExperimentOptions exp = runtime::throughput_options(
+      quick_cluster_config(1), Duration::millis(500), Duration::seconds(10));
+  exp.cluster.faults.actions.push_back(faults::FaultAction::partition(
+      Duration::seconds(1), {{0, 1}, {2, 3}}));
+  MetalDeployment partitioned(exp);
+  EXPECT_EQ(partitioned.cluster(), nullptr);  // no cluster, no threads
+  const TimePoint t0 = mono_now();
+  runtime::ExperimentReport rep = runtime::run_experiment(exp, partitioned);
+  EXPECT_LT(mono_now() - t0, Duration::seconds(1));
+  EXPECT_FALSE(rep.ok());
+  EXPECT_NE(rep.status.message().find("partition"), std::string::npos)
+      << rep.status.message();
+  EXPECT_TRUE(rep.fault_log.empty());
+  EXPECT_EQ(rep.total_completed, 0u);
+
+  // The view-change stopwatch reads replica state mid-run: simulator only.
+  exp.cluster.faults.actions = {
+      faults::FaultAction::crash(Duration::seconds(1), 1)};
+  exp.measure_view_change = true;
+  MetalDeployment stopwatch(exp);
+  ASSERT_TRUE(stopwatch.ok().is_ok()) << stopwatch.ok().message();
+  rep = runtime::run_experiment(exp, stopwatch);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_NE(rep.status.message().find("simulator"), std::string::npos)
+      << rep.status.message();
+  EXPECT_FALSE(stopwatch.cluster()->running());
 }
 
 // Scrape helper: GET /metrics and pull one series value out of the

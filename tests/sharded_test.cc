@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "runtime/cluster.h"
+#include "runtime/experiment.h"
 #include "simnet/sharded.h"
 
 namespace marlin::sim {
@@ -260,6 +261,39 @@ TEST(ShardedCluster, RepeatedRunsAreIdentical) {
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.replicas, b.replicas);
   EXPECT_EQ(a.completed, b.completed);
+}
+
+// The sharded engine through the one experiment procedure: a leader crash,
+// then liveness checked after the plan quiesces, with the same report on
+// one worker thread as on two.
+TEST(ShardedCluster, ExperimentIsInvariantAcrossWorkerCounts) {
+  runtime::ClusterConfig cfg = cluster_config(1);
+  cfg.consensus.pacemaker.base_timeout = Duration::millis(800);
+  cfg.faults.actions.push_back(
+      faults::FaultAction::crash_leader(Duration::millis(900)));
+  const auto run = [&cfg](std::uint32_t workers) {
+    runtime::ExperimentOptions exp = runtime::throughput_options(
+        cfg, Duration::millis(500), Duration::seconds(3));
+    exp.shards = 2;
+    exp.workers = workers;
+    exp.check_liveness = true;
+    return runtime::run_experiment(exp);
+  };
+  const runtime::ExperimentReport w1 = run(1);
+  const runtime::ExperimentReport w2 = run(2);
+  EXPECT_TRUE(w1.ok());
+  EXPECT_TRUE(w1.liveness.checked);
+  EXPECT_TRUE(w1.liveness.progressed);
+  EXPECT_GT(w1.total_completed, 0u);
+  EXPECT_GT(w1.final_view, 1u);  // the crash forced a view change
+  EXPECT_EQ(w1.total_completed, w2.total_completed);
+  EXPECT_EQ(w1.final_view, w2.final_view);
+  EXPECT_EQ(w1.liveness.progressed, w2.liveness.progressed);
+  EXPECT_EQ(w1.liveness.commits_at_quiesce, w2.liveness.commits_at_quiesce);
+  EXPECT_EQ(w1.liveness.commits_at_end, w2.liveness.commits_at_end);
+  ASSERT_EQ(w1.fault_log.size(), 1u);
+  ASSERT_EQ(w2.fault_log.size(), 1u);
+  EXPECT_EQ(w1.fault_log[0].target, w2.fault_log[0].target);
 }
 
 }  // namespace

@@ -12,22 +12,22 @@
 //
 // --config takes JSON whose field names mirror ClusterConfig, e.g.
 // {"f": 1, "clients": {"count": 4}, "pacemaker": {"base_timeout_ms": 500}};
-// flags override it. The sim fault flags compile into one FaultPlan, so a
-// faulty run replays from its (seed, plan) pair. --shards=K > 1 runs the
+// flags override it. The fault flags of either backend compile into one
+// FaultPlan (--kill paired with a later --relaunch of the same replica is a
+// restart), so a faulty sim run replays from its (seed, plan) pair. Both
+// backends run runtime::run_experiment. --shards=K > 1 runs the
 // partitioned engine (docs/SCALING.md), invariant across K and --workers.
 //
 // Exits 1 on a safety violation, inconsistent commit prefixes, a relaunch
 // that did not recover, or (with --min-commits) too few in-window ops; 2 on
 // flag and I/O errors.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli_flags.h"
@@ -36,9 +36,8 @@
 #include "obs/export.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "realnet/real_cluster.h"
-#include "runtime/cluster.h"
-#include "simnet/sharded.h"
+#include "realnet/metal_deployment.h"
+#include "runtime/experiment.h"
 
 using namespace marlin;
 using runtime::ClusterConfig;
@@ -104,13 +103,6 @@ constexpr Flag kFlags[] = {
     {"--telemetry-port=P", "metal", "replica i serves on port P+i"},
 };
 
-struct CrashEvent {
-  ReplicaId replica = 0;
-  double at_seconds = 0;
-  bool relaunch = false;  // false = kill
-  bool done = false;
-};
-
 struct Options {
   Backend backend = Backend::kMetal;
   ClusterConfig cluster;
@@ -126,7 +118,6 @@ struct Options {
   std::string faults_path;
   // metal only
   realnet::RealClusterOptions real;
-  std::vector<CrashEvent> events;
   // outputs
   std::string trace_out;
   std::string spans_out;
@@ -159,6 +150,8 @@ bool parse_protocol(const std::string& name, ProtocolKind* kind) {
   return true;
 }
 
+/// Adds a --kill to the run's plan as a crash; a --relaunch turns the
+/// latest earlier --kill of its replica into one restart action.
 bool parse_crash(const std::string& v, bool relaunch, Options* opt) {
   unsigned replica = 0;
   double at = 0;
@@ -167,7 +160,23 @@ bool parse_crash(const std::string& v, bool relaunch, Options* opt) {
                  relaunch ? "--relaunch" : "--kill", v.c_str());
     return false;
   }
-  opt->events.push_back(CrashEvent{replica, at, relaunch, false});
+  const Duration when = Duration::from_seconds_f(at);
+  auto& actions = opt->cluster.faults.actions;
+  if (!relaunch) {
+    actions.push_back(faults::FaultAction::crash(when, replica));
+    return true;
+  }
+  const auto kill =
+      std::find_if(actions.rbegin(), actions.rend(), [&](const auto& a) {
+        return a.kind == faults::FaultKind::kCrash && a.replica == replica &&
+               a.at <= when;
+      });
+  if (kill == actions.rend()) {
+    std::fprintf(stderr, "--relaunch=%s has no earlier --kill of replica %u\n",
+                 v.c_str(), replica);
+    return false;
+  }
+  *kill = faults::FaultAction::restart(kill->at, replica, when - kill->at);
   return true;
 }
 
@@ -356,13 +365,13 @@ bool parse_options(int argc, char** argv, Options* opt) {
     return false;
   }
   const std::uint32_t n = 3 * opt->cluster.f + 1;
-  for (const CrashEvent& e : opt->events) {
-    if (e.replica >= n) {
-      std::fprintf(stderr, "--%s replica %u out of range (n=%u)\n",
-                   e.relaunch ? "relaunch" : "kill", e.replica, n);
+  for (const faults::FaultAction& a : opt->cluster.faults.actions) {
+    if (a.replica >= n) {
+      std::fprintf(stderr, "--kill replica %u out of range (n=%u)\n",
+                   a.replica, n);
       return false;
     }
-    if (e.relaunch && opt->real.data_dir.empty()) {
+    if (a.kind == faults::FaultKind::kRestart && opt->real.data_dir.empty()) {
       std::fprintf(stderr,
                    "--relaunch needs --data-dir (an in-memory replica has "
                    "nothing to recover from)\n");
@@ -378,24 +387,8 @@ bool parse_options(int argc, char** argv, Options* opt) {
 }
 
 // ---------------------------------------------------------------------------
-// The one run path
+// Reporting
 // ---------------------------------------------------------------------------
-
-/// One backend's cluster as the shared run path sees it: its metrology,
-/// how its clock moves, and how to read its state.
-struct Run {
-  const runtime::ClusterMetrology* meter = nullptr;
-  std::string engine;  // summary header
-  /// Moves the run to `t` seconds after its start and returns the clock
-  /// reading reached: run_until on the simulator; on metal, sleep, firing
-  /// each kill or relaunch as its time passes.
-  std::function<double(double t)> advance_to;
-  /// Runs to the end and drains. False when a relaunch did not recover.
-  std::function<bool()> finish;
-  std::function<obs::MetricsRegistry()> metrics;
-  std::function<std::vector<obs::TraceEvent>()> trace;
-  std::function<std::uint64_t()> trace_evicted;
-};
 
 bool write_output(const std::string& path, const std::string& body) {
   if (obs::write_text_file(path, body)) return true;
@@ -405,9 +398,9 @@ bool write_output(const std::string& path, const std::string& body) {
 
 /// Prints the run's summary; wire bytes come from the metrics snapshot,
 /// whose net.* names both backends share.
-void print_summary(const Options& opt, const Run& run,
+void print_summary(const Options& opt, const runtime::Deployment& run,
                    const obs::MetricsRegistry& reg) {
-  const runtime::ClusterMetrology& m = *run.meter;
+  const runtime::ClusterMetrology& m = run.meter();
   const runtime::ConsensusConfig& cons = opt.cluster.consensus;
   const std::uint32_t n = 3 * opt.cluster.f + 1;
   const auto wire = [&reg](const char* name, ReplicaId r) {
@@ -424,7 +417,7 @@ void print_summary(const Options& opt, const Run& run,
 
   std::printf("\n%s  f=%u (n=%u)  %s  %s%s%s\n",
               cons.protocol == ProtocolKind::kMarlin ? "MARLIN" : "HOTSTUFF",
-              opt.cluster.f, n, run.engine.c_str(),
+              opt.cluster.f, n, run.engine().c_str(),
               cons.pacemaker.rotate_on_timer ? "rotating " : "",
               cons.use_threshold_sigs ? "threshold-sigs " : "",
               cons.disable_happy_path ? "unhappy-vc" : "");
@@ -461,7 +454,7 @@ void print_summary(const Options& opt, const Run& run,
 }
 
 /// The trace consumers, over either backend's merged events.
-bool write_trace_outputs(const Options& opt, const Run& run) {
+bool write_trace_outputs(const Options& opt, runtime::Deployment& run) {
   const std::vector<obs::TraceEvent> events = run.trace();
   if (const std::uint64_t evicted = run.trace_evicted(); evicted > 0) {
     // Each node's ring holds its events from its oldest survivor on, so
@@ -510,59 +503,44 @@ bool write_trace_outputs(const Options& opt, const Run& run) {
   return true;
 }
 
-/// Samples the series, finishes the run, reports and writes the outputs.
-int drive(const Options& opt, const Run& run) {
-  if (!opt.metrics_series_out.empty()) {
-    std::ofstream series(opt.metrics_series_out, std::ios::trunc);
-    if (!series) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   opt.metrics_series_out.c_str());
-      return 2;
+/// Prints the fault actions that fired: the simulator's plan log, or
+/// metal's kills and relaunches.
+void print_faults(const Options& opt, const runtime::Deployment& run,
+                  const runtime::ExperimentReport& rep) {
+  for (const faults::ExecutedAction& a : rep.fault_log) {
+    if (opt.backend == Backend::kSim) {
+      std::printf("[t=%.1fs] fault: %s", a.at.as_seconds_f(),
+                  faults::fault_kind_name(a.kind));
+      if (a.target != kNoReplica) std::printf(" replica %u", a.target);
+      std::printf(" (view %llu)\n", static_cast<unsigned long long>(a.view));
+      continue;
     }
-    const double step = opt.metrics_interval > 0 ? opt.metrics_interval : 1.0;
-    for (double t = step; t < opt.seconds; t += step) {
-      const double at = run.advance_to(t);
-      series << obs::metrics_series_line(at, run.metrics()) << '\n'
-             << std::flush;
+    std::fprintf(stderr, "[%.3fs] killed replica %u\n", a.at.as_seconds_f(),
+                 a.target);
+    const double back =
+        (a.at + opt.cluster.faults.actions[a.index].duration).as_seconds_f();
+    const runtime::ReplicaHost* host = run.meter().replica_host(a.target);
+    if (a.kind == faults::FaultKind::kRestart && back <= opt.seconds &&
+        host != nullptr && host->recovered()) {
+      std::fprintf(stderr, "[%.3fs] relaunched replica %u (recovered)\n", back,
+                   a.target);
     }
   }
-  const bool relaunch_ok = run.finish();
-
-  const obs::MetricsRegistry reg = run.metrics();
-  print_summary(opt, run, reg);
-  if (opt.wants_trace() && !write_trace_outputs(opt, run)) return 2;
-  if (!opt.metrics_out.empty()) {
-    // The file extension picks the format.
-    const std::string& path = opt.metrics_out;
-    const std::string ext = path.substr(path.find_last_of('.') + 1);
-    if (!write_output(path, ext == "csv"    ? obs::metrics_to_csv(reg)
-                            : ext == "prom" ? obs::metrics_to_prometheus(reg)
-                                            : obs::metrics_to_json(reg))) {
-      return 2;
-    }
-    std::printf("  metrics: %s\n", path.c_str());
+  if (!rep.status.is_ok()) {
+    std::fprintf(stderr, "%s\n", rep.status.message().c_str());
   }
-
-  const runtime::ClusterMetrology& m = *run.meter;
-  if (m.any_safety_violation() || !m.committed_heights_consistent() ||
-      !relaunch_ok) {
-    return 1;
-  }
-  if (const std::uint64_t done = m.total_completed(); done < opt.min_commits) {
-    std::fprintf(stderr, "only %llu ops committed (--min-commits=%llu)\n",
-                 static_cast<unsigned long long>(done),
-                 static_cast<unsigned long long>(opt.min_commits));
-    return 1;
-  }
-  return 0;
 }
 
-// ---------------------------------------------------------------------------
-// The two backends
-// ---------------------------------------------------------------------------
+/// Events a metal node may record per second of a loaded run (the leader
+/// of a 2 s n=4 run with two clients records about 10^5), and the cap on
+/// one node's ring: 4 Mi events of 72 B, about 300 MB. Rings grow on
+/// demand, so a run that records less allocates less.
+constexpr double kMetalTraceEventsPerSecond = 250'000;
+constexpr std::size_t kMetalTraceCapacityCap = std::size_t{4} << 20;
 
-int run_sim(Options& opt) {
-  // Every fault flag compiles into the cluster's one FaultPlan.
+/// Builds the backend's deployment, runs the experiment procedure on it,
+/// then reports and writes the outputs.
+int run(Options& opt) {
   if (!opt.faults_path.empty()) {
     std::string body;
     if (!obs::read_text_file(opt.faults_path, &body)) {
@@ -589,162 +567,95 @@ int run_sim(Options& opt) {
         Duration::from_seconds_f(opt.crash_leader_at)));
   }
 
-  // Authenticator counting only reads outgoing messages, never changing
-  // simulated behavior, so traced runs get it for free.
-  obs::TraceSink trace{1 << 18};
-  opt.cluster.count_authenticators = opt.wants_trace();
-  std::optional<sim::Simulator> simulator;
-  std::optional<sim::ShardedSimulator> sharded;
-  std::optional<runtime::Cluster> cluster;
-  if (opt.shards > 1) {
-    sim::ShardedSimulator::Config ecfg;
-    ecfg.seed = opt.cluster.seed;
-    ecfg.shards = opt.shards;
-    ecfg.workers = opt.workers;
-    ecfg.lookahead = opt.cluster.net.one_way_delay;
-    sharded.emplace(ecfg);
-    if (opt.wants_trace()) sharded->enable_tracing(1 << 18);
-    cluster.emplace(*sharded, opt.cluster);
+  std::ofstream series;
+  if (!opt.metrics_series_out.empty()) {
+    series.open(opt.metrics_series_out, std::ios::trunc);
+    if (!series) {
+      std::fprintf(stderr, "cannot write %s\n",
+                   opt.metrics_series_out.c_str());
+      return 2;
+    }
+  }
+  obs::MetricsRegistry reg;
+  runtime::ExperimentOptions exp;
+  exp.warmup = Duration::from_seconds_f(opt.warmup);
+  exp.measure = Duration::from_seconds_f(opt.seconds) - exp.warmup;
+  exp.drain = opt.backend == Backend::kSim ? Duration::seconds(1)
+                                           : Duration::zero();
+  exp.metrics = &reg;
+  exp.shards = opt.shards;
+  exp.workers = opt.workers;
+  if (series.is_open()) {
+    exp.sample_every = Duration::from_seconds_f(
+        opt.metrics_interval > 0 ? opt.metrics_interval : 1.0);
+    exp.on_sample = [&series](Duration at, const obs::MetricsRegistry& m) {
+      series << obs::metrics_series_line(at.as_seconds_f(), m) << '\n'
+             << std::flush;
+    };
+  }
+
+  std::unique_ptr<runtime::Deployment> deployment;
+  if (opt.backend == Backend::kSim) {
+    // Authenticator counting only reads outgoing messages, never changing
+    // simulated behavior, so traced runs get it for free.
+    opt.cluster.count_authenticators = opt.wants_trace();
+    exp.cluster = opt.cluster;
+    deployment = std::make_unique<runtime::SimDeployment>(
+        exp, opt.wants_trace() ? std::size_t{1} << 18 : 0);
   } else {
-    if (opt.wants_trace()) opt.cluster.trace = &trace;
-    simulator.emplace(opt.cluster.seed);
-    cluster.emplace(*simulator, opt.cluster);
-  }
-  const auto run_to = [&](TimePoint t) {
-    simulator ? simulator->run_until(t) : sharded->run_until(t);
-  };
-  const TimePoint end =
-      TimePoint::origin() + Duration::from_seconds_f(opt.seconds);
-  cluster->set_measurement_window(
-      TimePoint::origin() + Duration::from_seconds_f(opt.warmup), end);
-  cluster->start();
-
-  Run run;
-  run.meter = &*cluster;
-  run.engine = "sim";
-  if (sharded) {
-    run.engine += ": " + std::to_string(sharded->shards()) + " shards x " +
-                  std::to_string(sharded->workers()) + " workers (lookahead " +
-                  sharded->lookahead().to_string() + ")";
-  }
-  // On the sharded engine samples land at window barriers, where the
-  // cluster is quiescent: the series is bit-deterministic from the seed.
-  run.advance_to = [&](double t) {
-    const TimePoint at = TimePoint::origin() + Duration::from_seconds_f(t);
-    run_to(at);
-    return at.as_seconds_f();
-  };
-  run.finish = [&] {
-    run_to(end + Duration::seconds(1));
-    for (const auto& a : cluster->faults().log()) {
-      std::printf("[t=%.1fs] fault: %s", a.at.as_seconds_f(),
-                  faults::fault_kind_name(a.kind));
-      if (a.target != kNoReplica) std::printf(" replica %u", a.target);
-      std::printf(" (view %llu)\n", static_cast<unsigned long long>(a.view));
+    opt.real.trace = opt.wants_trace();
+    // Size each node's ring for the whole run, so the trace outputs
+    // describe all of it rather than its tail.
+    opt.real.trace_capacity = std::max(
+        obs::TraceSink::kDefaultCapacity,
+        static_cast<std::size_t>(
+            std::min<double>(kMetalTraceCapacityCap,
+                             (opt.seconds + 1) * kMetalTraceEventsPerSecond)));
+    exp.cluster = opt.cluster;
+    auto metal = std::make_unique<realnet::MetalDeployment>(exp, opt.real);
+    if (!metal->ok().is_ok()) {
+      std::fprintf(stderr, "cluster init failed: %s\n",
+                   metal->ok().message().c_str());
+      return 2;
     }
-    return true;
-  };
-  run.metrics = [&] {
-    obs::MetricsRegistry reg;
-    cluster->export_metrics(reg);
-    return reg;
-  };
-  run.trace = [&] {
-    return simulator ? trace.events() : sharded->merged_trace();
-  };
-  run.trace_evicted = [&] {
-    std::uint64_t evicted = trace.evicted();
-    for (std::uint32_t s = 0; sharded && s < sharded->shards(); ++s) {
-      evicted += sharded->shard_trace(s)->evicted();
-    }
-    return evicted;
-  };
-  return drive(opt, run);
-}
-
-/// Executes one scheduled kill or relaunch; false when a relaunch failed
-/// or came back without its recovered state.
-bool fire(realnet::RealCluster& cluster, const CrashEvent& e, double now) {
-  if (!e.relaunch) {
-    cluster.kill_replica(e.replica);
-    std::fprintf(stderr, "[%.3fs] killed replica %u\n", now, e.replica);
-    return true;
-  }
-  if (Status s = cluster.relaunch_replica(e.replica); !s.is_ok()) {
-    std::fprintf(stderr, "relaunch %u failed: %s\n", e.replica,
-                 s.message().c_str());
-    return false;
-  }
-  if (!cluster.replica(e.replica).recovered()) {
-    std::fprintf(stderr, "relaunch %u came back with no recovered state\n",
-                 e.replica);
-    return false;
-  }
-  std::fprintf(stderr, "[%.3fs] relaunched replica %u (recovered)\n", now,
-               e.replica);
-  return true;
-}
-
-/// Events a metal node may record per second of a loaded run (the leader
-/// of a 2 s n=4 run with two clients records about 10^5), and the cap on
-/// one node's ring: 4 Mi events of 72 B, about 300 MB. Rings grow on
-/// demand, so a run that records less allocates less.
-constexpr double kMetalTraceEventsPerSecond = 250'000;
-constexpr std::size_t kMetalTraceCapacityCap = std::size_t{4} << 20;
-
-int run_metal(Options& opt) {
-  opt.real.trace = opt.wants_trace();
-  // Size each node's ring for the whole run, so the trace outputs describe
-  // all of it rather than its tail.
-  opt.real.trace_capacity = std::max(
-      obs::TraceSink::kDefaultCapacity,
-      static_cast<std::size_t>(
-          std::min<double>(kMetalTraceCapacityCap,
-                           (opt.seconds + 1) * kMetalTraceEventsPerSecond)));
-  realnet::RealCluster cluster(opt.cluster, opt.real);
-  if (!cluster.ok().is_ok()) {
-    std::fprintf(stderr, "cluster init failed: %s\n",
-                 cluster.ok().message().c_str());
-    return 2;
-  }
-  const TimePoint t0 = realnet::mono_now();
-  cluster.set_measurement_window(t0 + Duration::from_seconds_f(opt.warmup),
-                                 t0 + Duration::from_seconds_f(opt.seconds));
-  cluster.start();
-  if (opt.real.telemetry) {
-    std::printf("telemetry:");
-    for (std::uint32_t i = 0; i < cluster.n(); ++i) {
-      std::printf(" r%u=http://127.0.0.1:%u", i, cluster.telemetry_port(i));
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-  }
-
-  bool relaunch_ok = true;
-  Run run;
-  run.meter = &cluster;
-  run.engine = "metal: 127.0.0.1 TCP";
-  run.advance_to = [&](double t) {
-    for (;;) {
-      const double now = (realnet::mono_now() - t0).as_seconds_f();
-      for (CrashEvent& e : opt.events) {
-        if (e.done || now < e.at_seconds) continue;
-        e.done = true;
-        relaunch_ok = fire(cluster, e, now) && relaunch_ok;
+    if (opt.real.telemetry) {
+      // Ports are bound at construction: print them before the run starts.
+      std::printf("telemetry:");
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::printf(" r%u=http://127.0.0.1:%u", i,
+                    metal->cluster()->telemetry_port(i));
       }
-      if (now >= t) return now;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::printf("\n");
+      std::fflush(stdout);
     }
-  };
-  run.finish = [&] {
-    run.advance_to(opt.seconds);
-    cluster.stop();
-    return relaunch_ok;
-  };
-  run.metrics = [&] { return cluster.sample_metrics(); };
-  run.trace = [&] { return cluster.merged_trace_events(); };
-  run.trace_evicted = [&] { return cluster.trace_evicted(); };
-  return drive(opt, run);
+    deployment = std::move(metal);
+  }
+
+  const runtime::ExperimentReport rep =
+      runtime::run_experiment(exp, *deployment);
+  print_faults(opt, *deployment, rep);
+  print_summary(opt, *deployment, reg);
+  if (opt.wants_trace() && !write_trace_outputs(opt, *deployment)) return 2;
+  if (!opt.metrics_out.empty()) {
+    // The file extension picks the format.
+    const std::string& path = opt.metrics_out;
+    const std::string ext = path.substr(path.find_last_of('.') + 1);
+    if (!write_output(path, ext == "csv"    ? obs::metrics_to_csv(reg)
+                            : ext == "prom" ? obs::metrics_to_prometheus(reg)
+                                            : obs::metrics_to_json(reg))) {
+      return 2;
+    }
+    std::printf("  metrics: %s\n", path.c_str());
+  }
+
+  if (!rep.ok()) return 1;
+  if (rep.total_completed < opt.min_commits) {
+    std::fprintf(stderr, "only %llu ops committed (--min-commits=%llu)\n",
+                 static_cast<unsigned long long>(rep.total_completed),
+                 static_cast<unsigned long long>(opt.min_commits));
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -756,5 +667,5 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  return opt.backend == Backend::kSim ? run_sim(opt) : run_metal(opt);
+  return run(opt);
 }
