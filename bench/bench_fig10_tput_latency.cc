@@ -8,6 +8,9 @@
 // HotStuff 79.6 ktx/s. Expected reproduction: same ordering and relative
 // gap; absolute throughput within a small constant factor (see
 // EXPERIMENTS.md).
+#include <charconv>
+#include <string_view>
+
 #include "bench_common.h"
 
 #include "obs/critical_path.h"
@@ -56,7 +59,20 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     fs.clear();
     for (int i = 1; i < argc; ++i) {
-      fs.push_back(static_cast<std::uint32_t>(std::atoi(argv[i])));
+      // The whole token must be a positive integer: "2x" or "two" is an
+      // error, not a silent f = 0.
+      const std::string_view arg = argv[i];
+      std::uint32_t f = 0;
+      const auto [end, ec] =
+          std::from_chars(arg.data(), arg.data() + arg.size(), f);
+      if (ec != std::errc{} || end != arg.data() + arg.size() || f == 0) {
+        std::fprintf(stderr,
+                     "invalid value for f: '%s' (expected a positive "
+                     "integer)\n",
+                     argv[i]);
+        return 2;
+      }
+      fs.push_back(f);
     }
   }
 

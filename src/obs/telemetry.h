@@ -2,8 +2,8 @@
 // post-mortem exporters (export.h) dump at end of run, rendered for live
 // consumption — Prometheus text exposition for /metrics scrapes, one-line
 // JSON snapshots for --metrics-series-out JSONL trajectories, and the
-// NodeNetStats -> registry bridge that gives the real transport the same
-// metric names the simulated network exports (sim/metal parity).
+// NodeNetStats -> registry writer behind both backends' net.* names
+// (sim/metal parity).
 #pragma once
 
 #include <string>
@@ -21,12 +21,12 @@ namespace marlin::obs {
 /// _sum/_count; latency quantiles are in seconds).
 std::string metrics_to_prometheus(const MetricsRegistry& reg);
 
-/// Adds a transport's NodeNetStats into `reg` under the exact names the
-/// simulated network exports (net.messages_sent, net.bytes_sent, ... with
-/// kind= breakdown labels), so sim-side tooling reads realnet metrics
-/// unchanged. `node_label` (e.g. "node=2") labels the totals; per-kind
-/// series always carry kind= labels. Counters add: pass a fresh snapshot
-/// registry, not one that already contains these series.
+/// Adds one node's NodeNetStats into `reg`: the one writer of the net.*
+/// names on both backends (sim::Network::export_metrics calls it for each
+/// node, a metal replica for its transport). `node_label` (e.g. "node=2")
+/// labels the five totals; the per-kind series (net.messages_sent{kind=
+/// proposal}, ...) carry kind= labels and skip all-zero kinds. Counters
+/// add, so calls for several nodes into one registry sum the kind series.
 void net_stats_to_metrics(const net::NodeNetStats& stats, MetricsRegistry& reg,
                           std::string_view node_label = {});
 

@@ -79,4 +79,35 @@ void TraceSink::clear() {
   next_seq_ = 0;
 }
 
+std::vector<TraceEvent> merge_traces(
+    const std::vector<const TraceSink*>& sinks, MergedSeq seq) {
+  if (sinks.size() == 1) return sinks.front()->events();
+  std::size_t total = 0;
+  for (const TraceSink* sink : sinks) total += sink->size();
+  std::vector<TraceEvent> all;
+  all.reserve(total);
+  for (const TraceSink* sink : sinks) {
+    const std::vector<TraceEvent> events = sink->events();
+    all.insert(all.end(), events.begin(), events.end());
+  }
+  // stable_sort: full ties (same instant, node and seq, from two sinks)
+  // keep the order of `sinks`.
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.at != b.at) return a.at < b.at;
+                     if (a.node != b.node) return a.node < b.node;
+                     return a.seq < b.seq;
+                   });
+  if (seq == MergedSeq::kDense) {
+    for (std::size_t i = 0; i < all.size(); ++i) all[i].seq = i;
+  }
+  return all;
+}
+
+std::uint64_t evicted_events(const std::vector<const TraceSink*>& sinks) {
+  std::uint64_t evicted = 0;
+  for (const TraceSink* sink : sinks) evicted += sink->evicted();
+  return evicted;
+}
+
 }  // namespace marlin::obs

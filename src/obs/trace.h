@@ -148,4 +148,20 @@ class TraceSink {
   std::function<TimePoint()> clock_;
 };
 
+/// How merge_traces numbers the events it merges.
+enum class MergedSeq : std::uint8_t {
+  kDense,    // 0..N-1 in merge order, whatever the sink partition
+  kPerSink,  // each sink's own seq
+};
+
+/// The one cluster-level trace read: the events of `sinks` in (at, node,
+/// seq) order. A node records into one sink, whose seq orders its
+/// same-instant events; control-lane kNoNode events sort last at equal
+/// times. A single sink comes back exactly as recorded (the single-queue
+/// simulator's golden order).
+std::vector<TraceEvent> merge_traces(const std::vector<const TraceSink*>& sinks,
+                                     MergedSeq seq = MergedSeq::kDense);
+/// Events the rings of `sinks` evicted (lost from merge_traces).
+std::uint64_t evicted_events(const std::vector<const TraceSink*>& sinks);
+
 }  // namespace marlin::obs

@@ -91,14 +91,6 @@ void MetalDeployment::fire(const Step& step, Duration now) {
   if (status_.is_ok()) status_ = s;
 }
 
-std::vector<ReplicaId> MetalDeployment::correct_replicas() {
-  std::vector<ReplicaId> out;
-  for (ReplicaId r = 0; r < cluster_->n(); ++r) {
-    if (cluster_->replica_alive(r)) out.push_back(r);
-  }
-  return out;
-}
-
 std::vector<Height> MetalDeployment::committed_heights() {
   const obs::MetricsRegistry reg = cluster_->sample_metrics();
   std::vector<Height> out(cluster_->n());

@@ -25,7 +25,6 @@ class MetalDeployment final : public runtime::Deployment {
   Duration now() const override;
   void advance_to(Duration t) override;
   void stop() override { cluster_->stop(); }
-  std::vector<ReplicaId> correct_replicas() override;
   std::vector<Height> committed_heights() override;
   const runtime::ClusterMetrology& meter() const override {
     return *cluster_;
@@ -33,11 +32,8 @@ class MetalDeployment final : public runtime::Deployment {
   obs::MetricsRegistry metrics() override {
     return cluster_->sample_metrics();
   }
-  std::vector<obs::TraceEvent> trace() const override {
-    return cluster_->merged_trace_events();
-  }
-  std::uint64_t trace_evicted() override {
-    return cluster_->trace_evicted();
+  std::vector<const obs::TraceSink*> trace_sinks() const override {
+    return cluster_->trace_sinks();
   }
   /// One entry per fired action, at its kill time; `view` stays 0.
   std::vector<faults::ExecutedAction> fault_log() const override {

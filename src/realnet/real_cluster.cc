@@ -262,6 +262,7 @@ void RealCluster::stop() {
 void RealCluster::kill_replica(ReplicaId i) {
   begin_stop(i, /*drain=*/false);
   join_node(i);
+  nodes_[i].killed = true;
 }
 
 bool RealCluster::replica_alive(ReplicaId i) const {
@@ -282,6 +283,7 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
   if (Status s = bind_listener(node); !s.is_ok()) return s;
   if (Status s = build_node(i); !s.is_ok()) return s;
   start_node(i);
+  node.killed = false;
   return Status::ok();
 }
 
@@ -372,26 +374,16 @@ obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
   return out;
 }
 
-std::uint64_t RealCluster::trace_evicted() const {
-  std::uint64_t evicted = 0;
+std::vector<const obs::TraceSink*> RealCluster::trace_sinks() const {
+  std::vector<const obs::TraceSink*> sinks;
   for (const auto& node : nodes_) {
-    if (node.trace) evicted += node.trace->evicted();
+    if (node.trace) sinks.push_back(node.trace.get());
   }
-  return evicted;
+  return sinks;
 }
 
 std::vector<obs::TraceEvent> RealCluster::merged_trace_events() const {
-  std::vector<obs::TraceEvent> all;
-  for (const auto& node : nodes_) {
-    if (!node.trace) continue;
-    auto events = node.trace->events();
-    all.insert(all.end(), events.begin(), events.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                     return a.at < b.at;
-                   });
-  return all;
+  return obs::merge_traces(trace_sinks(), obs::MergedSeq::kPerSink);
 }
 
 }  // namespace marlin::realnet

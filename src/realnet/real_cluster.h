@@ -11,7 +11,8 @@
 // exists before any node thread spawns. start() launches the threads;
 // stop() drains egress queues, stops the loops, and joins. The client and
 // safety metrology is runtime::ClusterMetrology's, shared with the
-// simulator's Cluster; it reads a killed replica's final state. Metrology
+// simulator's Cluster; a killed replica leaves it until relaunched, as a
+// crashed one does on the simulator. Metrology
 // accessors are safe only while the cluster is stopped (construction→start
 // or after stop()) — node state belongs to node threads in between.
 #pragma once
@@ -78,6 +79,11 @@ class RealCluster : public runtime::ClusterMetrology {
   /// the same port and rejoins it to the cluster (peers redial lazily).
   Status relaunch_replica(ReplicaId i);
   bool replica_alive(ReplicaId i) const;
+  /// A killed replica leaves the metrology until a relaunch succeeds; its
+  /// final state stays readable through replica().
+  bool counted(ReplicaId i) const override {
+    return !nodes_[i].killed && replica_hosts_[i] != nullptr;
+  }
 
   // -- metrology (stopped cluster only, unless noted) ------------------------
   RealReplica& replica(ReplicaId i) { return *nodes_[i].replica; }
@@ -89,15 +95,12 @@ class RealCluster : public runtime::ClusterMetrology {
   /// Node id's transport (drain/shutdown assertions) — safe after stop().
   TcpTransport& transport(std::uint32_t id) { return *nodes_[id].transport; }
 
-  /// All nodes' trace events merged and time-sorted.
-  ///
-  /// Contract: tracing is opt-in at construction. When options.trace is
-  /// false no sink exists anywhere, and this returns an EMPTY vector — it
-  /// cannot distinguish "tracing off" from "nothing happened" (marlin_run
-  /// turns tracing on whenever a trace output is requested).
+  /// Every node's trace ring, by node id; empty when options.trace is off.
+  std::vector<const obs::TraceSink*> trace_sinks() const;
+  /// obs::merge_traces over trace_sinks(), keeping each node's own seq:
+  /// perfbench finds a wrapped ring by a first seq above 0. Empty when
+  /// tracing is off.
   std::vector<obs::TraceEvent> merged_trace_events() const;
-  /// Events the nodes' trace rings evicted (lost from the merge).
-  std::uint64_t trace_evicted() const;
 
   // -- live telemetry --------------------------------------------------------
   /// Replica i's telemetry port (0 when options.telemetry is off). Valid
@@ -130,7 +133,8 @@ class RealCluster : public runtime::ClusterMetrology {
     std::uint16_t port = 0;
     std::uint16_t telemetry_port = 0;  // kept across relaunch
     int pending_listen_fd = -1;  // bound, not yet adopted by a transport
-    bool alive = false;
+    bool alive = false;   // thread running (stop() clears it for all)
+    bool killed = false;  // kill_replica'd, not relaunched since
   };
 
   Status bind_listener(Node& node);

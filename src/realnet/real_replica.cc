@@ -76,8 +76,7 @@ std::string RealReplica::status_json() {
 obs::MetricsRegistry RealReplica::snapshot_metrics() const {
   obs::MetricsRegistry snap = metrics();
   transport_.export_metrics(snap);
-  // Same labeling as sim::Network::export_metrics — per-node totals under
-  // node=<id>, per-kind totals under kind=<name> — so a merged realnet
+  // The writer sim::Network::export_metrics uses, so a merged realnet
   // series is key-compatible with a sim series.
   obs::net_stats_to_metrics(transport_.stats(), snap,
                             "node=" + std::to_string(config().replica.id));

@@ -144,6 +144,17 @@ ViewNumber ClusterMetrology::max_view() const {
   return v;
 }
 
+std::vector<ReplicaId> ClusterMetrology::correct_replicas() const {
+  std::vector<ReplicaId> out;
+  for (ReplicaId i = 0; i < replica_hosts_.size(); ++i) {
+    if (counted(i) && replica_hosts_[i]->byzantine_mode() ==
+                          faults::ByzantineMode::kHonest) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
     : config_(std::move(config)) {
   EngineBinding engine;
@@ -186,11 +197,6 @@ Cluster::Cluster(sim::ShardedSimulator& engine, ClusterConfig config)
   engine.reserve(/*events_per_shard=*/nodes * 64 / engine.shards() + 256,
                  /*timers_per_shard=*/nodes * 4 / engine.shards() + 64);
   build(binding);
-}
-
-Cluster::Cluster(const EngineBinding& engine, ClusterConfig config)
-    : config_(std::move(config)) {
-  build(engine);
 }
 
 void Cluster::build(const EngineBinding& engine) {

@@ -85,9 +85,10 @@ void merge_replica_metrics(obs::MetricsRegistry& out,
 
 /// Client and safety metrology, written once for both backends' clusters
 /// over the ReplicaHost and ClientProcess objects they hold. A backend
-/// fills the two host tables and says which replicas count: the simulator
-/// skips network-down replicas, metal reads a killed replica's final
-/// state. On metal, call only while the cluster is stopped.
+/// fills the two host tables and says which replicas count: a crashed
+/// replica (network-down on the simulator, killed on metal) leaves the
+/// metrology. On metal, call only while the cluster is stopped, except
+/// correct_replicas().
 class ClusterMetrology {
  public:
   /// Sets the throughput window on every client and replica counter.
@@ -113,10 +114,11 @@ class ClusterMetrology {
   const ReplicaHost* replica_host(ReplicaId i) const {
     return replica_hosts_[i];
   }
-  /// Whether replica i enters the cross-replica checks.
-  virtual bool counted(ReplicaId i) const {
-    return replica_hosts_[i] != nullptr;
-  }
+  /// Whether replica i enters the cross-replica checks: it has not
+  /// crashed.
+  virtual bool counted(ReplicaId i) const = 0;
+  /// Replicas that must keep committing: counted, and honest on the wire.
+  std::vector<ReplicaId> correct_replicas() const;
 
  protected:
   ~ClusterMetrology() = default;
@@ -128,27 +130,6 @@ class ClusterMetrology {
 
 class Cluster : public ClusterMetrology {
  public:
-  /// How a cluster binds to an event engine. The composition root (the
-  /// ctor taking a concrete engine) fills this in; everything downstream —
-  /// processes, network, faults — sees only Scheduler&.
-  struct EngineBinding {
-    /// Control lane: fault actions, trace clock, anything that must not
-    /// race shard execution. On the single-queue engine this is the
-    /// simulator itself.
-    marlin::Scheduler* control = nullptr;
-    /// Home scheduler per node id (replicas 0..n-1, clients n..n+m-1).
-    std::function<marlin::Scheduler*(sim::NodeId)> node_sched;
-    /// Setup-time randomness source; forked in a fixed order (network
-    /// first, then clients in id order) that the golden traces pin.
-    Rng* setup_rng = nullptr;
-    /// Per-node trace sink override (shard-local sinks), or null for the
-    /// shared config trace.
-    std::function<obs::TraceSink*(sim::NodeId)> node_trace;
-    /// Give each network sender its own rng stream (required when senders
-    /// run concurrently on the partitioned engine).
-    bool per_sender_net_rng = false;
-  };
-
   Cluster(sim::Simulator& sim, ClusterConfig config);
   /// Partitioned-engine composition root: nodes bind to their home-shard
   /// schedulers and trace sinks, the control lane runs faults, network
@@ -156,7 +137,6 @@ class Cluster : public ClusterMetrology {
   /// the cluster's fanout. Requires engine.lookahead() <= net.one_way_delay
   /// (the conservative-window safety condition).
   Cluster(sim::ShardedSimulator& engine, ClusterConfig config);
-  Cluster(const EngineBinding& engine, ClusterConfig config);
 
   /// Arms the fault plan, then starts all replicas, then all clients.
   void start();
@@ -203,6 +183,27 @@ class Cluster : public ClusterMetrology {
   void export_metrics(obs::MetricsRegistry& out) const;
 
  private:
+  /// How a cluster binds to an event engine. The composition root (the
+  /// ctor taking a concrete engine) fills this in; everything downstream —
+  /// processes, network, faults — sees only Scheduler&.
+  struct EngineBinding {
+    /// Control lane: fault actions, trace clock, anything that must not
+    /// race shard execution. On the single-queue engine this is the
+    /// simulator itself.
+    marlin::Scheduler* control = nullptr;
+    /// Home scheduler per node id (replicas 0..n-1, clients n..n+m-1).
+    std::function<marlin::Scheduler*(sim::NodeId)> node_sched;
+    /// Setup-time randomness source; forked in a fixed order (network
+    /// first, then clients in id order) that the golden traces pin.
+    Rng* setup_rng = nullptr;
+    /// Per-node trace sink override (shard-local sinks), or null for the
+    /// shared config trace.
+    std::function<obs::TraceSink*(sim::NodeId)> node_trace;
+    /// Give each network sender its own rng stream (required when senders
+    /// run concurrently on the partitioned engine).
+    bool per_sender_net_rng = false;
+  };
+
   void build(const EngineBinding& engine);
 
   marlin::Scheduler* control_ = nullptr;

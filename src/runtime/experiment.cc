@@ -39,7 +39,7 @@ void measure_view_change(Deployment& d, const ExperimentOptions& opt,
   while (d.now() < deadline) {
     d.advance_to(d.now() + Duration::millis(50));
     bool all_committed = true;
-    for (ReplicaId r : d.correct_replicas()) {
+    for (ReplicaId r : d.meter().correct_replicas()) {
       const auto& rp = cluster.replica(r);
       if (rp.protocol().current_view() <= old_view ||
           !rp.committed_in_current_view()) {
@@ -53,7 +53,7 @@ void measure_view_change(Deployment& d, const ExperimentOptions& opt,
   double total_ms = 0;
   std::uint32_t counted = 0;
   bool resolved = true;
-  for (ReplicaId r : d.correct_replicas()) {
+  for (ReplicaId r : d.meter().correct_replicas()) {
     const auto& rp = cluster.replica(r);
     if (!rp.committed_in_current_view() ||
         rp.protocol().current_view() <= old_view) {
@@ -89,7 +89,7 @@ void check_liveness(Deployment& d, const ExperimentOptions& opt,
   const Duration quiesce = opt.cluster.faults.quiesce_time();
   if (d.now() < quiesce) d.advance_to(quiesce);
 
-  const std::vector<ReplicaId> correct = d.correct_replicas();
+  const std::vector<ReplicaId> correct = d.meter().correct_replicas();
   const std::vector<Height> base = d.committed_heights();
   for (ReplicaId r : correct) out.commits_at_quiesce += base[r];
 
@@ -154,22 +154,9 @@ void SimDeployment::advance_to(Duration t) {
   const TimePoint at = TimePoint::origin() + t;
   if (simulator_) {
     simulator_->run_until(at);
-  } else if (at >= sharded_->now()) {
+  } else {
     sharded_->run_until(at);
   }
-}
-
-std::vector<ReplicaId> SimDeployment::correct_replicas() {
-  std::vector<ReplicaId> out;
-  for (ReplicaId r = 0; r < cluster_->n(); ++r) {
-    if (cluster_->network().is_down(r)) continue;
-    if (cluster_->replica(r).byzantine_mode() !=
-        faults::ByzantineMode::kHonest) {
-      continue;
-    }
-    out.push_back(r);
-  }
-  return out;
 }
 
 std::vector<Height> SimDeployment::committed_heights() {
@@ -186,23 +173,12 @@ obs::MetricsRegistry SimDeployment::metrics() {
   return reg;
 }
 
-std::vector<obs::TraceEvent> SimDeployment::trace() const {
-  if (sharded_) return sharded_->merged_trace();
-  const obs::TraceSink* sink = cluster_->config().trace;
-  return sink ? sink->events() : std::vector<obs::TraceEvent>{};
-}
-
-std::uint64_t SimDeployment::trace_evicted() {
-  if (!sharded_) {
-    const obs::TraceSink* sink = cluster_->config().trace;
-    return sink ? sink->evicted() : 0;
-  }
-  std::uint64_t evicted = 0;
-  for (std::uint32_t s = 0; sharded_->tracing() && s < sharded_->shards();
-       ++s) {
-    evicted += sharded_->shard_trace(s)->evicted();
-  }
-  return evicted;
+std::vector<const obs::TraceSink*> SimDeployment::trace_sinks() const {
+  // With the sharded engine tracing, the cluster's config trace is the
+  // engine's control-lane sink, one of its sinks.
+  if (sharded_ && sharded_->tracing()) return sharded_->trace_sinks();
+  if (const obs::TraceSink* sink = cluster_->config().trace) return {sink};
+  return {};
 }
 
 std::string SimDeployment::engine() const {
@@ -215,6 +191,18 @@ std::string SimDeployment::engine() const {
 std::uint64_t SimDeployment::events_executed() const {
   return simulator_ ? simulator_->events_executed()
                     : sharded_->events_executed();
+}
+
+Result<std::vector<obs::TraceEvent>> Deployment::trace() const {
+  const std::vector<const obs::TraceSink*> sinks = trace_sinks();
+  if (sinks.empty()) {
+    return error(ErrorCode::kUnavailable, "tracing is off");
+  }
+  return obs::merge_traces(sinks);
+}
+
+std::uint64_t Deployment::trace_evicted() const {
+  return obs::evicted_events(trace_sinks());
 }
 
 ExperimentReport run_experiment(const ExperimentOptions& options,

@@ -105,8 +105,11 @@ struct ExperimentReport {
 
 /// One deployment as the experiment procedure sees it: the seam between
 /// run_experiment and a backend. It moves the run's clock, fires the fault
-/// plan's actions as their times pass, and reads metrology, metrics and
-/// trace. SimDeployment below implements it on the simulator;
+/// plan's actions as their times pass, and hands out what the cluster-level
+/// reads need: the metrology (ClusterMetrology, whose correct-replica rule
+/// is written once for both backends), a metrics snapshot and the trace
+/// sinks, which trace() merges with obs::merge_traces on every backend.
+/// SimDeployment below implements it on the simulator;
 /// realnet::MetalDeployment on 127.0.0.1 TCP.
 class Deployment {
  public:
@@ -126,16 +129,18 @@ class Deployment {
   /// Stops every node; the metrology below needs it on metal.
   virtual void stop() {}
 
-  /// Replicas that must keep committing: up, and honest on the wire.
-  virtual std::vector<ReplicaId> correct_replicas() = 0;
   /// Every replica's committed height, by id; readable mid-run.
   virtual std::vector<Height> committed_heights() = 0;
 
   virtual const ClusterMetrology& meter() const = 0;
   virtual obs::MetricsRegistry metrics() = 0;
-  virtual std::vector<obs::TraceEvent> trace() const = 0;
+  /// The trace rings the nodes record into; empty when tracing is off.
+  virtual std::vector<const obs::TraceSink*> trace_sinks() const = 0;
+  /// Every sink's events, merged by obs::merge_traces; fails when tracing
+  /// is off, rather than passing for a run in which nothing happened.
+  Result<std::vector<obs::TraceEvent>> trace() const;
   /// Events the trace rings evicted (lost from trace()).
-  virtual std::uint64_t trace_evicted() = 0;
+  std::uint64_t trace_evicted() const;
   virtual std::vector<faults::ExecutedAction> fault_log() const = 0;
   /// One-line engine description for run summaries.
   virtual std::string engine() const = 0;
@@ -158,12 +163,10 @@ class SimDeployment final : public Deployment {
   void start(Duration window_start, Duration window_end) override;
   Duration now() const override;
   void advance_to(Duration t) override;
-  std::vector<ReplicaId> correct_replicas() override;
   std::vector<Height> committed_heights() override;
   const ClusterMetrology& meter() const override { return *cluster_; }
   obs::MetricsRegistry metrics() override;
-  std::vector<obs::TraceEvent> trace() const override;
-  std::uint64_t trace_evicted() override;
+  std::vector<const obs::TraceSink*> trace_sinks() const override;
   std::vector<faults::ExecutedAction> fault_log() const override {
     return cluster_->faults().log();
   }

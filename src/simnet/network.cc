@@ -3,6 +3,9 @@
 #include <cassert>
 #include <string>
 
+#include "common/wire_codec.h"
+#include "obs/telemetry.h"
+
 namespace marlin::sim {
 
 namespace {
@@ -50,45 +53,15 @@ const NodeNetStats& Network::stats(NodeId node) const {
 
 NodeNetStats Network::total_stats() const {
   NodeNetStats total;
-  for (const auto& s : stats_) {
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.messages_delivered += s.messages_delivered;
-    total.bytes_delivered += s.bytes_delivered;
-    total.messages_dropped += s.messages_dropped;
-    for (std::size_t k = 0; k < kNetKindSlots; ++k) {
-      total.msgs_sent_by_kind[k] += s.msgs_sent_by_kind[k];
-      total.bytes_sent_by_kind[k] += s.bytes_sent_by_kind[k];
-      total.msgs_delivered_by_kind[k] += s.msgs_delivered_by_kind[k];
-      total.bytes_delivered_by_kind[k] += s.bytes_delivered_by_kind[k];
-    }
-  }
+  for (const auto& s : stats_) total += s;
   return total;
 }
 
 void Network::export_metrics(obs::MetricsRegistry& reg) const {
+  // Counters add, so the per-kind series sum over nodes.
   for (NodeId node = 0; node < stats_.size(); ++node) {
-    const NodeNetStats& s = stats_[node];
-    const std::string label = "node=" + std::to_string(node);
-    reg.counter("net.messages_sent", label) += s.messages_sent;
-    reg.counter("net.bytes_sent", label) += s.bytes_sent;
-    reg.counter("net.messages_delivered", label) += s.messages_delivered;
-    reg.counter("net.bytes_delivered", label) += s.bytes_delivered;
-    reg.counter("net.messages_dropped", label) += s.messages_dropped;
-  }
-  const NodeNetStats total = total_stats();
-  for (std::size_t k = 0; k < kNetKindSlots; ++k) {
-    if (total.msgs_sent_by_kind[k] == 0 &&
-        total.msgs_delivered_by_kind[k] == 0) {
-      continue;
-    }
-    const std::string label = "kind=" + std::string(net_kind_name(k));
-    reg.counter("net.messages_sent", label) += total.msgs_sent_by_kind[k];
-    reg.counter("net.bytes_sent", label) += total.bytes_sent_by_kind[k];
-    reg.counter("net.messages_delivered", label) +=
-        total.msgs_delivered_by_kind[k];
-    reg.counter("net.bytes_delivered", label) +=
-        total.bytes_delivered_by_kind[k];
+    obs::net_stats_to_metrics(stats_[node], reg,
+                              "node=" + std::to_string(node));
   }
 }
 

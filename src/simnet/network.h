@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "common/scheduler.h"
 #include "common/net_stats.h"
 #include "common/payload.h"
-#include "common/wire_codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simnet/simulator.h"
@@ -26,17 +24,6 @@
 namespace marlin::sim {
 
 using NodeId = std::uint32_t;
-
-/// Per-kind traffic accounting is shared with the real transport: the slot
-/// table and classification live in common/wire_codec; these aliases keep
-/// simnet call sites unchanged.
-inline constexpr std::size_t kNetKindSlots = net::kNetKindSlots;
-
-/// Stable label for a kind slot ("proposal", "vote", ...), mirroring
-/// types::MsgKind wire values (delegates to wire::kind_slot_name).
-inline std::string_view net_kind_name(std::size_t kind) {
-  return wire::kind_slot_name(kind);
-}
 
 struct NetConfig {
   Duration one_way_delay = Duration::millis(40);

@@ -100,34 +100,15 @@ void ShardedSimulator::enable_tracing(std::size_t capacity_per_shard) {
   control_sink_->set_clock([this] { return control_.now(); });
 }
 
+std::vector<const obs::TraceSink*> ShardedSimulator::trace_sinks() const {
+  std::vector<const obs::TraceSink*> sinks;
+  for (const auto& sink : shard_sinks_) sinks.push_back(sink.get());
+  if (control_sink_) sinks.push_back(control_sink_.get());
+  return sinks;
+}
+
 std::vector<obs::TraceEvent> ShardedSimulator::merged_trace() const {
-  std::vector<obs::TraceEvent> all;
-  std::size_t total = control_sink_ ? control_sink_->size() : 0;
-  for (const auto& sink : shard_sinks_) total += sink->size();
-  all.reserve(total);
-  for (const auto& sink : shard_sinks_) {
-    const auto events = sink->events();
-    all.insert(all.end(), events.begin(), events.end());
-  }
-  if (control_sink_) {
-    const auto events = control_sink_->events();
-    all.insert(all.end(), events.begin(), events.end());
-  }
-  // (at, node, per-sink seq): a node records into exactly one sink, so the
-  // per-sink seq totally orders its same-instant events; across nodes the
-  // node id breaks ties deterministically. stable_sort keeps control-lane
-  // kNoNode events in their own recorded order.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     if (a.node != b.node) return a.node < b.node;
-                     return a.seq < b.seq;
-                   });
-  // Renumber densely in merge order: per-sink seq values depend on how
-  // nodes partition across shards, so leaving them in place would make
-  // exports differ across shard counts for the same run.
-  for (std::size_t i = 0; i < all.size(); ++i) all[i].seq = i;
-  return all;
+  return obs::merge_traces(trace_sinks());
 }
 
 void ShardedSimulator::post_event(NodeScheduler* target, TimePoint when,
@@ -217,6 +198,9 @@ void ShardedSimulator::worker_main() {
 }
 
 void ShardedSimulator::run_until(TimePoint deadline) {
+  // The clock never moves back (as in Simulator::run_until): a deadline
+  // before the barrier has already passed.
+  if (deadline < barrier_) return;
   // Window loop: control lane first (shards quiescent at barrier_), then
   // all shards advance one lookahead window in parallel. Windows are
   // half-open [T, T+W) so a cross-shard arrival at exactly T+W lands in

@@ -130,9 +130,10 @@ class ShardedSimulator {
                                 : shard_sinks_[node % shards()].get();
   }
   obs::TraceSink* control_trace() { return control_sink_.get(); }
-  /// Deterministic cross-shard view: all sink contents merged, ordered by
-  /// (at, node, per-sink seq) — the same total order for every (K, workers)
-  /// combination that produced the same schedule.
+  /// The shard sinks, then the control-lane sink (empty without tracing).
+  std::vector<const obs::TraceSink*> trace_sinks() const;
+  /// obs::merge_traces over trace_sinks(): the same total order for every
+  /// (K, workers) combination that produced the same schedule.
   std::vector<obs::TraceEvent> merged_trace() const;
 
   // -- driving ---------------------------------------------------------------
@@ -140,7 +141,8 @@ class ShardedSimulator {
   /// this point; no event before it remains anywhere.
   TimePoint now() const { return barrier_; }
   /// Advances in lookahead windows until `deadline` (inclusive, matching
-  /// Simulator::run_until: events exactly at the deadline do run).
+  /// Simulator::run_until: events exactly at the deadline do run). A
+  /// deadline before now() is a no-op.
   void run_until(TimePoint deadline);
   void run_for(Duration d) { run_until(barrier_ + d); }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -158,6 +160,83 @@ TEST(TraceSink, FilterMaskCoversTypesPastBit31) {
   sink.set_enabled(last, true);
   sink.record({.type = last});
   EXPECT_EQ(sink.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// merge_traces: the one cluster-level trace read
+// ---------------------------------------------------------------------------
+
+TEST(MergeTraces, OrdersByTimeThenNodeThenRecordOrderWithDenseSeq) {
+  std::int64_t now_ns = 0;
+  const auto clock = [&] {
+    return TimePoint::origin() + Duration::nanos(now_ns);
+  };
+  TraceSink control(8), shard_a(8), shard_b(8);
+  for (TraceSink* sink : {&control, &shard_a, &shard_b}) sink->set_clock(clock);
+  // Each event's height names it; a sink's own seq is its record order.
+  now_ns = 10;
+  shard_a.record({.node = 2, .type = EventType::kCommit, .height = 1});
+  shard_a.record({.node = 2, .type = EventType::kCommit, .height = 2});
+  control.record({.type = EventType::kFaultInjected, .height = 6});
+  control.record({.type = EventType::kFaultInjected, .height = 7});
+  now_ns = 5;
+  shard_b.record({.node = 1, .type = EventType::kCommit, .height = 4});
+  now_ns = 10;
+  shard_b.record({.node = 1, .type = EventType::kCommit, .height = 5});
+  now_ns = 20;
+  shard_a.record({.node = 0, .type = EventType::kCommit, .height = 3});
+
+  // The control lane is listed first, yet its kNoNode events sort last
+  // among equal times.
+  const std::vector<TraceEvent> merged =
+      merge_traces({&control, &shard_a, &shard_b});
+  std::vector<Height> order;
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].seq, i);  // dense over the merge
+    order.push_back(merged[i].height);
+  }
+  EXPECT_EQ(order, (std::vector<Height>{4, 5, 1, 2, 6, 7, 3}));
+  EXPECT_EQ(merged[4].node, kNoNode);
+  EXPECT_EQ(merge_traces({&shard_b, &shard_a, &control}), merged);
+
+  // Same order with each sink's own seq kept.
+  const std::vector<TraceEvent> per_sink =
+      merge_traces({&control, &shard_a, &shard_b}, MergedSeq::kPerSink);
+  ASSERT_EQ(per_sink.size(), merged.size());
+  std::vector<std::uint64_t> seqs;
+  for (std::size_t i = 0; i < per_sink.size(); ++i) {
+    EXPECT_EQ(per_sink[i].height, merged[i].height);
+    seqs.push_back(per_sink[i].seq);
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 0, 1, 0, 1, 2}));
+}
+
+TEST(MergeTraces, ASingleSinkComesBackAsRecorded) {
+  std::int64_t now_ns = 0;
+  TraceSink sink(3);
+  sink.set_clock([&] { return TimePoint::origin() + Duration::nanos(now_ns); });
+  // Out of (at, node) order, and past capacity so seq no longer starts at 0.
+  for (const auto& [at, node] : std::vector<std::pair<std::int64_t,
+                                                      std::uint32_t>>{
+           {30, 1}, {10, 0}, {20, 2}, {20, 0}}) {
+    now_ns = at;
+    sink.record({.node = node, .type = EventType::kCommit});
+  }
+  const std::vector<TraceEvent> merged = merge_traces({&sink});
+  EXPECT_EQ(merged, sink.events());
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged.front().seq, 1u);
+  EXPECT_EQ(merged[1].node, 2u);
+}
+
+TEST(MergeTraces, EvictionsSumOverEverySink) {
+  TraceSink a(2), b(4);
+  for (int i = 0; i < 5; ++i) a.record({.type = EventType::kCommit});
+  for (int i = 0; i < 6; ++i) b.record({.type = EventType::kCommit});
+  EXPECT_EQ(evicted_events({&a, &b}), 3u + 2u);
+  EXPECT_EQ(merge_traces({&a, &b}).size(), 2u + 4u);
+  EXPECT_EQ(evicted_events({}), 0u);
+  EXPECT_TRUE(merge_traces({}).empty());
 }
 
 TEST(TraceNames, RoundTripAllTypes) {

@@ -9,9 +9,12 @@
 // timings (wall-clock here is not the simulator's virtual clock).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <thread>
 
 #include "realnet/clock.h"
@@ -481,13 +484,15 @@ void expect_commits_client_ops_over_tcp(runtime::ProtocolKind protocol) {
   ASSERT_TRUE(cluster.ok().is_ok()) << cluster.ok().message();
   cluster.start();
   // Per-client totals are readable only once stopped. Wait until the last
-  // client has started, then for 400 more pooled commits: closed-loop
-  // clients with equal windows share them, so each clears 50.
+  // client is due to start, then for 4000 more pooled commits: closed-loop
+  // clients with equal windows share them, so each clears 50 even when a
+  // loaded host starts the last client late (after 400, the last client
+  // had only 24-40 in some parallel ctest runs).
   std::this_thread::sleep_for(std::chrono::nanoseconds(
       runtime::client_start_delay(cluster.client_count() - 1).as_nanos()));
   const std::uint64_t started = live_completed(cluster);
   ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
-    return live_completed(cluster) > started + 400;
+    return live_completed(cluster) > started + 4000;
   }));
   cluster.stop();
 
@@ -574,10 +579,16 @@ TEST(RealCluster, TracesRecordCommitsAndDeliveries) {
   EXPECT_TRUE(saw_commit);
   EXPECT_TRUE(saw_delivery);
   EXPECT_TRUE(saw_reply);
-  // Merged events are time-sorted.
+  // Merged events are time-sorted, and each node keeps its own seq, from
+  // 0 while its ring has not evicted.
   for (std::size_t i = 1; i < events.size(); ++i) {
     ASSERT_LE(events[i - 1].at.as_nanos(), events[i].at.as_nanos());
   }
+  std::map<std::uint32_t, std::uint64_t> next_seq;
+  for (const auto& e : events) {
+    ASSERT_EQ(e.seq, next_seq[e.node]++) << "node " << e.node;
+  }
+  EXPECT_GE(next_seq.size(), cluster.n());
 }
 
 // ---------------------------------------------------------------------------
@@ -661,6 +672,42 @@ TEST(MetalDeployment, RestartRecoversAndLivenessHoldsAfterQuiesce) {
   EXPECT_GT(rep.total_completed, 0u);
   EXPECT_TRUE(rep.ok());
   std::filesystem::remove_all(dir);
+}
+
+// A killed replica that stays down leaves the metrology, as a crashed one
+// does on the simulator: the survivors alone set the minimum height and
+// the prefix check.
+TEST(MetalDeployment, AKilledReplicaLeavesTheMetrology) {
+  runtime::ClusterConfig cfg = quick_cluster_config(1);
+  cfg.clients.window = 1;
+  runtime::ExperimentOptions exp = runtime::throughput_options(
+      cfg, Duration::millis(300), Duration::millis(2200));
+  exp.drain = Duration::zero();
+  // Replica 1 leads view 1: the survivors commit again after a view change.
+  exp.cluster.faults.actions.push_back(
+      faults::FaultAction::crash(Duration::millis(500), 1));
+  MetalDeployment deployment(exp);
+  const runtime::ExperimentReport rep =
+      runtime::run_experiment(exp, deployment);
+  ASSERT_TRUE(rep.status.is_ok()) << rep.status.message();
+  ASSERT_EQ(rep.fault_log.size(), 1u);
+  EXPECT_EQ(rep.fault_log[0].target, 1u);
+
+  const runtime::ClusterMetrology& m = deployment.meter();
+  RealCluster& cluster = *deployment.cluster();
+  EXPECT_FALSE(m.counted(1));
+  EXPECT_EQ(m.correct_replicas(), (std::vector<ReplicaId>{0, 2, 3}));
+  Height survivors = std::numeric_limits<Height>::max();
+  for (ReplicaId r : {0u, 2u, 3u}) {
+    EXPECT_TRUE(m.counted(r));
+    survivors =
+        std::min(survivors, cluster.replica(r).protocol().committed_height());
+  }
+  EXPECT_EQ(m.min_committed_height(), survivors);
+  // The dead replica stopped two seconds before the survivors did.
+  EXPECT_LT(cluster.replica(1).protocol().committed_height(), survivors);
+  EXPECT_TRUE(m.committed_heights_consistent());
+  EXPECT_TRUE(rep.ok());
 }
 
 TEST(MetalDeployment, RejectsWhatMetalCannotRunBeforeAnyThreadStarts) {

@@ -59,6 +59,28 @@ TEST(ShardedSimulator, EventsExactlyAtTheDeadlineRun) {
   EXPECT_TRUE(ran);
 }
 
+// Like Simulator::run_until, a deadline the clock has passed is a no-op:
+// now() never moves back and nothing runs.
+TEST(ShardedSimulator, RunUntilAnEarlierDeadlineKeepsTheClock) {
+  ShardedSimulator::Config cfg;
+  cfg.shards = 2;
+  cfg.workers = 1;
+  cfg.lookahead = Duration::millis(10);
+  ShardedSimulator eng(cfg);
+  for (NodeId node = 0; node < 2; ++node) {
+    eng.node_scheduler(node)->post(Duration::millis(500), [] {});
+    eng.node_scheduler(node)->post(Duration::seconds(3), [] {});
+  }
+  const TimePoint two = TimePoint::origin() + Duration::seconds(2);
+  eng.run_until(two);
+  const std::uint64_t executed = eng.events_executed();
+  EXPECT_EQ(executed, 2u);
+  eng.run_until(TimePoint::origin() + Duration::seconds(1));
+  EXPECT_EQ(eng.now(), two);
+  EXPECT_EQ(eng.node_scheduler(0)->now(), two);
+  EXPECT_EQ(eng.events_executed(), executed);
+}
+
 TEST(ShardedSimulator, CrossShardPostsHonorTheLookaheadWindow) {
   ShardedSimulator::Config cfg;
   cfg.shards = 2;
@@ -294,6 +316,48 @@ TEST(ShardedCluster, ExperimentIsInvariantAcrossWorkerCounts) {
   ASSERT_EQ(w1.fault_log.size(), 1u);
   ASSERT_EQ(w2.fault_log.size(), 1u);
   EXPECT_EQ(w1.fault_log[0].target, w2.fault_log[0].target);
+}
+
+// One eviction sum over every sink a deployment traces into: what the
+// merged trace holds plus what the rings evicted is everything recorded,
+// the control lane's fault records included.
+TEST(ShardedCluster, TraceEvictionsCountTheControlLane) {
+  runtime::ExperimentOptions exp = runtime::throughput_options(
+      cluster_config(1), Duration::millis(200), Duration::millis(800));
+  exp.cluster.faults.actions = {
+      faults::FaultAction::partition(Duration::millis(300), {{0, 1}, {2, 3}}),
+      faults::FaultAction::heal(Duration::millis(500))};
+  exp.shards = 2;
+  exp.workers = 1;
+  runtime::SimDeployment d(exp, /*trace_capacity=*/1);
+  ASSERT_TRUE(runtime::run_experiment(exp, d).ok());
+
+  const std::vector<const obs::TraceSink*> sinks = d.trace_sinks();
+  ASSERT_EQ(sinks.size(), 3u);  // two shards, then the control lane
+  EXPECT_GT(sinks.back()->evicted(), 0u);
+  std::uint64_t recorded = 0;
+  for (const obs::TraceSink* sink : sinks) recorded += sink->total_recorded();
+  const auto trace = d.trace();
+  ASSERT_TRUE(trace.is_ok());
+  EXPECT_EQ(trace.value().size() + d.trace_evicted(), recorded);
+}
+
+// An untraced deployment has no trace to read: trace() fails instead of
+// returning an empty stream that looks like an idle run.
+TEST(ShardedCluster, UntracedDeploymentReportsTracingOff) {
+  for (std::uint32_t shards : {1u, 2u}) {
+    runtime::ExperimentOptions exp = runtime::throughput_options(
+        cluster_config(1), Duration::millis(200), Duration::millis(300));
+    exp.shards = shards;
+    exp.workers = 1;
+    runtime::SimDeployment d(exp);
+    ASSERT_TRUE(runtime::run_experiment(exp, d).ok());
+    EXPECT_TRUE(d.trace_sinks().empty());
+    const auto trace = d.trace();
+    ASSERT_FALSE(trace.is_ok()) << "shards=" << shards;
+    EXPECT_EQ(trace.status().message(), "tracing is off");
+    EXPECT_EQ(d.trace_evicted(), 0u);
+  }
 }
 
 }  // namespace

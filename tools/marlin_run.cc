@@ -455,7 +455,12 @@ void print_summary(const Options& opt, const runtime::Deployment& run,
 
 /// The trace consumers, over either backend's merged events.
 bool write_trace_outputs(const Options& opt, runtime::Deployment& run) {
-  const std::vector<obs::TraceEvent> events = run.trace();
+  Result<std::vector<obs::TraceEvent>> traced = run.trace();
+  if (!traced.is_ok()) {
+    std::fprintf(stderr, "trace: %s\n", traced.status().message().c_str());
+    return false;
+  }
+  const std::vector<obs::TraceEvent> events = std::move(traced).take();
   if (const std::uint64_t evicted = run.trace_evicted(); evicted > 0) {
     // Each node's ring holds its events from its oldest survivor on, so
     // the outputs describe every node only from the latest of those.

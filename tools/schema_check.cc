@@ -136,9 +136,10 @@ int check_spans(std::istream& in) {
 // ---------------------------------------------------------------------------
 // Protocol trace: every line parses back into a TraceEvent with a known
 // type (how CI catches an exporter emitting a type the taxonomy doesn't
-// name); time never goes backwards; and each node's seq rises. A sink
-// numbers its events densely, and a metal trace is the time-sorted merge of
-// one sink per node, so seq is checked per node, not across the file.
+// name); time never goes backwards; and each node's seq rises. Every
+// backend's trace is one obs::merge_traces, whose seq is dense over the
+// file; seq is still checked per node, the weakest order a consumer needs,
+// so a file cut from a longer trace or joined from several passes too.
 // ---------------------------------------------------------------------------
 
 int check_trace(std::istream& in) {

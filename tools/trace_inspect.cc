@@ -37,12 +37,12 @@
 #include <string>
 #include <vector>
 
+#include "common/wire_codec.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "simnet/network.h"
 
 using namespace marlin;
 using obs::EventType;
@@ -226,11 +226,11 @@ struct EgressAcc {
 };
 
 struct KindsAcc {
-  ViewEgress by_kind[sim::kNetKindSlots] = {};
+  ViewEgress by_kind[net::kNetKindSlots] = {};
 
   void add(const TraceEvent& e) {
     if (e.type != EventType::kMsgSent) return;
-    const std::size_t slot = e.kind < sim::kNetKindSlots ? e.kind : 0;
+    const std::size_t slot = e.kind < net::kNetKindSlots ? e.kind : 0;
     ++by_kind[slot].msgs;
     by_kind[slot].bytes += e.a;
     by_kind[slot].authenticators += e.b;
@@ -240,11 +240,11 @@ struct KindsAcc {
     std::printf("traffic by message kind (authenticators: Table I check)\n");
     std::printf("  %-15s %8s %12s %8s %9s\n", "kind", "msgs", "bytes",
                 "auths", "auth/msg");
-    for (std::size_t k = 0; k < sim::kNetKindSlots; ++k) {
+    for (std::size_t k = 0; k < net::kNetKindSlots; ++k) {
       const ViewEgress& v = by_kind[k];
       if (v.msgs == 0) continue;
       std::printf("  %-15s %8llu %12llu %8llu %9.2f\n",
-                  std::string(sim::net_kind_name(k)).c_str(),
+                  std::string(wire::kind_slot_name(k)).c_str(),
                   static_cast<unsigned long long>(v.msgs),
                   static_cast<unsigned long long>(v.bytes),
                   static_cast<unsigned long long>(v.authenticators),
